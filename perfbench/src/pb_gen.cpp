@@ -1,28 +1,30 @@
 // pb_gen — seeded trace container generator for the benchmark.
 //
-//   pb_gen --bench NAME --seed N --insts N --out FILE [--bp KIND]
-//          [--compress] [--prefilter]
+//   pb_gen --bench NAME --seed N --insts N --out FILE [--compress]
 //
 // `resim_cli gen` has no seed flag, so the benchmark reaches trace
 // content through the library: the seed becomes
 // workload::WorkloadParams::seed (the data memory image), and the trace
-// is written with trace::save_trace exactly as `resim_cli gen` writes it.
+// is written with trace::save_trace exactly as `resim_cli gen` writes it,
+// with its default 2lev predictor. Without --compress the file is the v2
+// container of plain `gen`; with it, the v4 container of
+// `gen --compress --prefilter`.
 #include <cstdint>
 #include <iostream>
 #include <map>
 #include <string>
 
-#include "config/names.hpp"
 #include "config/param_registry.hpp"
 #include "resim/resim.hpp"
 
 int main(int argc, char** argv) {
   using namespace resim;
   std::map<std::string, std::string> kv;
+  bool compress = false;
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
-    if (key == "--compress" || key == "--prefilter") {
-      kv.insert_or_assign(key, std::string("1"));
+    if (key == "--compress") {
+      compress = true;
     } else if (key.rfind("--", 0) == 0 && i + 1 < argc) {
       kv.insert_or_assign(key, std::string(argv[++i]));
     } else {
@@ -40,11 +42,10 @@ int main(int argc, char** argv) {
     wp.seed = config::parse_u64(need("--seed"), "--seed");
     trace::TraceGenConfig g;
     g.max_insts = config::parse_u64(need("--insts"), "--insts");
-    g.bp.kind = config::dir_kind_of(kv.count("--bp") != 0 ? kv.at("--bp") : std::string("2lev"));
+    g.bp.kind = bpred::DirKind::kTwoLevel;
     trace::TraceGenerator gen(workload::make_workload(need("--bench"), wp), g);
     const trace::Trace t = gen.generate();
-    trace::save_trace(t, need("--out"), trace::kDefaultChunkRecords, kv.count("--compress") != 0,
-                      kv.count("--prefilter") != 0);
+    trace::save_trace(t, need("--out"), trace::kDefaultChunkRecords, compress, compress);
     std::cout << t.records.size() << '\n';
   } catch (const std::exception& e) {
     std::cerr << "pb_gen: " << e.what() << '\n';

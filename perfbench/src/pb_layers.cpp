@@ -2,22 +2,23 @@
 //
 //   pb_layers --workload NAME --deep FILE --deep-config CFG
 //             --sampled FILE --sampled-config CFG --window W --warmup U
-//             --windows K --pool FILE --spec FILE --threads N --spans FILE
+//             --windows K --pool FILE --threads N --spans FILE
 //
 // Times calls into the public functions of each layer (trace, core with
 // its bpred/cache models, driver, serve) over the inputs run.py generated
 // for the seed. Every call is wrapped in a span (layer, name, start, end,
 // parent) kept in memory; when the run ends the spans are reduced to each
-// layer's self time, and the self times are checked to account for the
-// whole traced wall time. A replica of the workload's own end-to-end
-// operation runs alternately with tracing on and off, which gives the
-// tracing overhead. The spans are written to --spans as a JSON array when
-// the run ends. Prints one JSON line: metrics, the direct serve time
-// of every pool request (run.py subtracts it from client latency to get
-// the queue wait), output checks attempted/failed, and notes.
+// layer's self time, and the time left to the benchmark's own code between
+// layer calls is checked to be a small share of the traced wall time. A
+// replica of the workload's own end-to-end operation runs alternately with
+// tracing on and off, which gives the tracing overhead. The spans are
+// written to --spans as a JSON array when the run ends. Prints one JSON
+// line: metrics, the direct serve time of every pool request (run.py
+// subtracts it from client latency to get the queue wait), the traced and
+// untraced wall times (run.py checks them against the process's own wall
+// time), output checks attempted/failed, and notes.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -89,6 +90,10 @@ class Scope {
 };
 
 Tracer g_tracer;
+
+/// Largest share of the traced wall time the benchmark's own code may take
+/// between layer calls (argument and pool parsing, result comparisons).
+constexpr double kMaxUncoveredShare = 0.05;
 
 /// Run f inside a span; returns its wall seconds (measured whether or not
 /// tracing is on).
@@ -183,6 +188,8 @@ int main(int argc, char** argv) {
   std::map<std::string, Metric> m;
   Checks checks;
   std::vector<double> direct_ms;
+  double traced_wall_s = 0.0;  ///< sum of the top-level spans
+  double untraced_s = 0.0;     ///< the untraced replicas, outside every span
   try {
     const std::string workload = a.at("--workload");
     if (workload != "deep_rob_sim" && workload != "sampled_stream" && workload != "served_mix") {
@@ -307,20 +314,16 @@ int main(int argc, char** argv) {
 
     // --- driver: the served 8-point mmap sweep, direct ----------------------
     {
-      const std::string spec_path = a.at("--spec");
-      const std::string trace_path =
-          perfbench::member(serve::parse_json(pool.back().payload), "trace").as_string();
-      const std::vector<std::string> sets = {"trace.backend=mmap"};
-      // Same resolution order as `resim_cli sweep --spec --trace --set`.
-      core::CoreConfig base = core::CoreConfig::paper_4wide_perfect();
-      std::vector<std::string> pinned = config::apply_sets(base, sets);
-      config::SweepSpec spec = config::load_sweep_spec_file(spec_path, base);
-      (void)config::apply_sets(spec.base, sets);
-      spec.pinned.insert(spec.pinned.end(), pinned.begin(), pinned.end());
+      // The last pool entry is a sweep; resolve it as the daemon does, and
+      // collapse the bench axis to the trace's name as serve::run_sweep does.
+      if (pool.empty() || !pool.back().sweep) throw std::invalid_argument("pool ends in no sweep");
+      const serve::SweepRequest req =
+          serve::parse_sweep_request(serve::parse_json(pool.back().payload));
+      config::SweepSpec spec = req.spec;
       spec.axes.insert(spec.axes.begin(),
-                       {"bench", {trace::FileTraceSource(trace_path).trace_name()}});
+                       {"bench", {trace::FileTraceSource(req.trace_path).trace_name()}});
       auto grid = driver::expand_spec(spec);
-      for (auto& job : grid.jobs) job.trace_path = trace_path;
+      for (auto& job : grid.jobs) job.trace_path = req.trace_path;
 
       double sum_one = 0.0;
       std::vector<driver::JobResult> solo;
@@ -371,6 +374,8 @@ int main(int argc, char** argv) {
       for (const auto& v : per) direct_ms.push_back(median(v) * 1e3);
     }
 
+    g_tracer.close(root);
+
     // --- replica of the workload, tracing on and off alternately ------------
     // figure: throughput of the replica (Minsts/s, or requests/s served).
     const auto replica = [&]() -> double {
@@ -406,13 +411,21 @@ int main(int argc, char** argv) {
       }
       return work / (now_s() - t0);
     };
+
+    // The traced replicas are top-level spans of their own; the untraced
+    // ones run outside every span, so the traced wall time (the sum of the
+    // top-level spans) holds traced work only.
     std::vector<double> on;
     std::vector<double> off;
     for (int r = 0; r < 3; ++r) {
-      on.push_back(replica());
-      const Scope untraced(g_tracer, "untraced", "replica");
+      {
+        const Scope s(g_tracer, "bench", "replica");
+        on.push_back(replica());
+      }
       g_tracer.enabled = false;
+      const double t0 = now_s();
       off.push_back(replica());
+      untraced_s += now_s() - t0;
       g_tracer.enabled = true;
     }
     const double traced_fig = median(on);
@@ -423,34 +436,33 @@ int main(int argc, char** argv) {
                            ", untraced " + std::to_string(untraced_fig) +
                            (workload == "served_mix" ? " requests/s" : " Minsts/s"));
 
-    g_tracer.close(root);
-
-    // --- reduce spans to self times and check they account for the wall ----
+    // --- reduce spans to self times -----------------------------------------
+    // Self times partition the traced wall time by construction; what can
+    // fail is the share left to the benchmark's own code between layer
+    // calls ("bench" self time), checked against kMaxUncoveredShare.
     const auto& spans = g_tracer.spans();
     std::vector<double> child(spans.size(), 0.0);
-    bool nested = true;
+    double wall = 0.0;
     for (const auto& s : spans) {
-      if (s.parent < 0) continue;
-      const auto& p = spans[static_cast<std::size_t>(s.parent)];
-      nested = nested && s.t0 >= p.t0 && s.t1 <= p.t1;
-      child[static_cast<std::size_t>(s.parent)] += s.t1 - s.t0;
+      if (s.parent < 0) {
+        wall += s.t1 - s.t0;
+      } else {
+        child[static_cast<std::size_t>(s.parent)] += s.t1 - s.t0;
+      }
     }
     std::map<std::string, double> self;
-    double self_sum = 0.0;
     for (std::size_t i = 0; i < spans.size(); ++i) {
-      const double v = spans[i].t1 - spans[i].t0 - child[i];
-      self[spans[i].layer] += v;
-      self_sum += v;
+      self[spans[i].layer] += spans[i].t1 - spans[i].t0 - child[i];
     }
-    const auto& root_span = spans[static_cast<std::size_t>(root)];
-    const double wall = root_span.t1 - root_span.t0;
-    checks.check(nested, "spans do not nest");
-    checks.check(std::abs(self_sum - wall) <= 1e-6 * wall,
-                 "layer self times do not sum to the traced wall time");
     for (const char* layer : {"trace", "core", "driver", "serve"}) {
       m[std::string("self_s.") + layer] = {self[layer], "s", 1};
     }
-    m["tracing.uncovered_share"] = {self["bench"] / wall, "ratio", spans.size()};
+    const double uncovered = self["bench"] / wall;
+    m["tracing.uncovered_share"] = {uncovered, "ratio", spans.size()};
+    m["tracing.wall_s"] = {wall, "s", 1};
+    checks.check(uncovered <= kMaxUncoveredShare,
+                 "layer calls cover only " + std::to_string(1.0 - uncovered) +
+                     " of the traced wall time");
     {
       std::ofstream f(a.at("--spans"));
       f.precision(12);
@@ -464,9 +476,10 @@ int main(int argc, char** argv) {
       f << "\n]\n";
       checks.check(static_cast<bool>(f), "cannot write " + a.at("--spans"));
     }
-    checks.notes.push_back("traced wall " + std::to_string(wall) + " s, " +
-                           std::to_string(spans.size()) + " spans, untraced replica reps " +
-                           std::to_string(self["untraced"]) + " s");
+    traced_wall_s = wall;
+    checks.notes.push_back("traced wall " + std::to_string(wall) + " s in " +
+                           std::to_string(spans.size()) + " spans; untraced replicas " +
+                           std::to_string(untraced_s) + " s");
   } catch (const std::exception& e) {
     std::cerr << "pb_layers: " << e.what() << '\n';
     return 1;
@@ -483,7 +496,8 @@ int main(int argc, char** argv) {
   }
   out << "}, \"direct_ms\": [";
   for (std::size_t i = 0; i < direct_ms.size(); ++i) out << (i == 0 ? "" : ", ") << direct_ms[i];
-  out << "], \"attempted\": " << checks.attempted << ", \"failed\": " << checks.failed
+  out << "], \"traced_wall_s\": " << traced_wall_s << ", \"untraced_s\": " << untraced_s
+      << ", \"attempted\": " << checks.attempted << ", \"failed\": " << checks.failed
       << ", \"notes\": [";
   for (std::size_t i = 0; i < checks.notes.size(); ++i) {
     out << (i == 0 ? "" : ", ") << '"' << driver::json_escape(checks.notes[i]) << '"';
