@@ -37,8 +37,13 @@ PB = os.path.dirname(os.path.abspath(__file__))
 
 WORKLOADS = ("deep_rob_sim", "sampled_stream", "served_mix")
 TARGETS = ("resim_cli", "pb_gen", "pb_load", "pb_layers")
-SERVE_SETUP_REPS = 10   # daemon spawns before the load phase, and as many after
+SERVE_SETUP_REPS = 20   # daemon spawns before the load phase, and as many after
 MIN_REPS = 3            # timed launches per run, even if --seconds is short
+# The host probe: a fixed pure-Python loop (HostProbe), and the time that
+# timings are scaled to: a round figure within the probe's times on the
+# host this benchmark was written on (0.08 to 0.15 s).
+PROBE_ITERS = 300_000
+PROBE_REF_S = 0.1
 # The traced run's spans and its untraced replicas must account for all
 # but this share of the pb_layers process's wall time, launch to exit.
 MAX_UNSPANNED_SHARE = 0.05
@@ -57,22 +62,34 @@ SAMPLE_SETS = ["bp.kind=2lev"]
 SAMPLE_W, SAMPLE_U = 1000, 10000
 SAMPLE_PLANS = tuple(range(200, 208))
 
-# served_mix: two short traces; the sim pool is every combination of
-# trace, config, window length and ROB size (24 distinct requests), at
-# seeded offsets, so the seed moves offsets and contents but not the mix.
-SERVE_TRACES = (("gzip", 100_000), ("parser", 100_000))
+# served_mix: two traces; the sim pool is every combination of trace,
+# config, window length and ROB size (24 distinct requests), at seeded
+# offsets, so the seed moves offsets and contents but not the mix, plus
+# each sweep spec over each trace (4). Every SERVE_PARTS waves of the load
+# phase send the whole pool once (pb_load); each sweep holds up one sim,
+# so 1 sim in 6 waits behind a sweep and the sims' p90 falls among those.
+SERVE_TRACES = (("gzip", 200_000), ("parser", 200_000))
 SERVE_CONFIGS = ("paper_4wide_perfect.cfg", "paper_2wide_cache.cfg")
-SERVE_WINDOWS = (2000, 4000, 8000)
+SERVE_WINDOWS = (10_000, 20_000, 40_000)
 SERVE_ROBS = (16, 64)
-SERVE_CONNS = 3
-SERVE_THREADS = 2
+SERVE_CONNS = 2
+SERVE_THREADS = 1
+SERVE_SESSIONS = 3      # daemons the load phase is split over; peak RSS is their median
+SERVE_PARTS = 4         # waves that together send the pool once, each between host probes
+# The traced run's BatchRunner::run, at up to this many threads, so its
+# decode-sharing and parallel-efficiency figures have more than one worker.
+LAYER_THREADS = 4
 # A busy or error reply counts as this latency, so it misses any limit.
 FAILED_MS = 1e9
-SWEEP_SPEC = """pipeline.variant = optimized
+SWEEP_SPECS = ("""pipeline.variant = optimized
 core.width = 2,4
 core.rob_size = 16,32
 bp.kind = 2lev,bimodal
-"""
+""", """pipeline.variant = efficient
+core.width = 2,4
+core.rob_size = 64,128
+bp.kind = 2lev,bimodal
+""")
 
 
 class BenchError(Exception):
@@ -175,6 +192,7 @@ class Ctx:
         self.attempted = 0
         self.failed = 0
         self.notes = []
+        self.host = HostProbe()
 
     def path(self, name):
         return os.path.join(self.work, name)
@@ -225,12 +243,52 @@ def set_args(sets):
     return [x for s in sets for x in ("--set", s)]
 
 
-def timed_loop(ctx, one):
-    """Call one(i) until --seconds have passed (at least MIN_REPS times)."""
+class HostProbe:
+    """Scales timings to one host speed. The hosts this runs on change
+    speed by up to 2x, over seconds to minutes, and a whole run can sit in
+    a slow or a fast phase, so no statistic over one run's raw timings
+    repeats from run to run (see perfbench/README.md). Each measured step
+    therefore runs between two probes: a fixed pure-Python loop that runs
+    no code of the repository, whose time tracks the host's speed. A
+    step's timings are multiplied by PROBE_REF_S over the mean time of its
+    two probes, so they read as on a host where the probe takes
+    PROBE_REF_S; a change to the program scales them as it scales the raw
+    ones."""
+
+    def __init__(self):
+        self.last = None
+        self.secs = []
+
+    def probe(self):
+        t0 = time.perf_counter()
+        x, counts = 0, {}
+        for _ in range(PROBE_ITERS):
+            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+            counts[x & 4095] = counts.get(x & 4095, 0) + 1
+        self.last = time.perf_counter() - t0
+        self.secs.append(self.last)
+        return self.last
+
+    def step(self, run):
+        """Runs run() between two probes; returns (its result, the scale)."""
+        before = self.probe() if self.last is None else self.last
+        result = run()
+        return result, PROBE_REF_S / statistics.fmean((before, self.probe()))
+
+    def note(self, ctx):
+        ctx.notes.append(f"host probe: {len(self.secs)} probes, median "
+                         f"{median(self.secs):.4f} s (reference {PROBE_REF_S} s)")
+
+
+def timed_loop(ctx, one, runs):
+    """Call one(i) between host probes until --seconds have passed (at
+    least MIN_REPS times), and add the launch it returns to runs at the
+    probes' scale."""
     i = 0
     t0 = time.perf_counter()
     while i < MIN_REPS or time.perf_counter() < t0 + ctx.seconds:
-        one(i)
+        launched, scale = ctx.host.step(lambda: one(i))
+        runs.add(*launched, scale)
         i += 1
 
 
@@ -238,40 +296,44 @@ class Launches:
     """Timed one-shot resim_cli sim launches; a launch whose output check
     fails counts as FAILED_MS. Each is preceded by a set-up launch (the
     same invocation capped at one record), so the set-up samples spread
-    over the whole run instead of sitting at its start.
-
-    Throughput is that of the slowest launch. Identical launches on a
-    shared host vary by up to 2x: runs of steady, slow launches under
-    sustained load, broken by fast phases of varying length. A mean, a
-    median or the fastest launch over one run mostly measures how much of
-    the run those phases covered; the slow level recurs from run to run
-    (see perfbench/README.md)."""
+    over the whole run instead of sitting at its start. Every timing is
+    scaled by the host probe around its launch (HostProbe); the unscaled
+    figures are printed as a note."""
 
     def __init__(self):
-        self.rates, self.ms, self.rss, self.setup = [], [], [], []
+        self.ms, self.rss, self.setup, self.raw_setup = [], [], [], []
+        self.records, self.walls, self.raw_walls = 0, 0.0, 0.0  # over passing launches
 
     def set_up(self, ctx, args, tag):
         rc, wall, _, _ = launch(args + ["--max-records", "1"], ctx.work, tag)
         ctx.check(rc == 0, f"{tag} launch {len(self.setup)} exit {rc}")
-        self.setup.append(wall)
+        return wall
 
-    def add(self, ok, records, wall, rss):
-        self.ms.append(wall * 1e3 if ok else FAILED_MS)
+    def add(self, ok, records, wall, rss, setup_wall, scale):
+        self.setup.append(setup_wall * scale)
+        self.raw_setup.append(setup_wall)
+        self.ms.append(wall * scale * 1e3 if ok else FAILED_MS)
         if ok:
-            self.rates.append((records / wall, 1.0 / wall))
+            self.records += records
+            self.walls += wall * scale
+            self.raw_walls += wall
             self.rss.append(rss)
 
-    def metrics(self, what):
+    def metrics(self, ctx, what):
         if not self.rss:
             raise BenchError(f"{what}: no launch passed its output check")
         n, ok = len(self.ms), len(self.rss)
+        ctx.notes.append(f"unscaled: minsts_per_s {self.records / self.raw_walls / 1e6:.6g}, "
+                         f"req_per_s {ok / self.raw_walls:.6g}, "
+                         f"setup_s {median(self.raw_setup):.6g}")
         return {
-            "minsts_per_s": (min(r for r, _ in self.rates) / 1e6, "Minsts/s", ok),
+            "minsts_per_s": (self.records / self.walls / 1e6, "Minsts/s", ok),
             "setup_s": (median(self.setup), "s", len(self.setup)),
             "peak_rss_mb": (median(self.rss), "MB", ok),
-            "sim_req_p99_ms": (percentile(self.ms, 99), "ms", n),
-            "req_per_s": (min(q for _, q in self.rates), "1/s", ok),
-        }, {"sim_req_p50_ms": (percentile(self.ms, 50), "ms", n)}
+            "sim_req_p50_ms": (percentile(self.ms, 50), "ms", n),
+            "sim_req_p90_ms": (percentile(self.ms, 90), "ms", n),
+            "req_per_s": (ok / self.walls, "1/s", ok),
+        }, {"sim_req_p99_ms": (percentile(self.ms, 99), "ms", n)}
 
 
 # --- deep_rob_sim -----------------------------------------------------------
@@ -296,17 +358,17 @@ def deep_rob_sim(ctx):
     runs = Launches()
 
     def one(i):
-        runs.set_up(ctx, base + ["--backend", "memory"], "deep-setup")
+        setup = runs.set_up(ctx, base + ["--backend", "memory"], "deep-setup")
         if os.path.exists(ctx.path("run.json")):
             os.remove(ctx.path("run.json"))
         rc, wall, peak, _ = launch(base + ["--backend", "memory", "--json", "run.json"],
                                    ctx.work, "deep-run")
         ok = ctx.check(rc == 0 and result_of("run.json") == ref,
                        f"deep run {i}: exit {rc} or --json differs from the stream reference")
-        runs.add(ok, records, wall, peak)
+        return ok, records, wall, peak, setup
 
-    timed_loop(ctx, one)
-    return runs.metrics("deep_rob_sim")
+    timed_loop(ctx, one, runs)
+    return runs.metrics(ctx, "deep_rob_sim")
 
 
 # --- sampled_stream ---------------------------------------------------------
@@ -368,7 +430,7 @@ def sampled_stream(ctx):
     runs, shares = Launches(), []
 
     def one(i):
-        runs.set_up(ctx, base + ["--backend", "stream"], "samp-setup")
+        setup = runs.set_up(ctx, base + ["--backend", "stream"], "samp-setup")
         k = SAMPLE_PLANS[i % len(SAMPLE_PLANS)]
         rc, wall, peak, out = launch(base + ["--backend", "stream", *set_args(plan_sets(k))],
                                      ctx.work, "samp-run")
@@ -377,12 +439,12 @@ def sampled_stream(ctx):
         ok = ctx.check(rc == 0 and m is not None and estimate_lines(out) == refs[k],
                        f"sampled run {i}: estimates differ from the mmap reference")
         covered = sum(int(g) for g in m.groups()) if ok else 0
-        runs.add(ok, covered, wall, peak)
         if ok:
             shares.append(int(m.group(1)) / covered)
+        return ok, covered, wall, peak, setup
 
-    timed_loop(ctx, one)
-    metrics, extras = runs.metrics("sampled_stream")
+    timed_loop(ctx, one, runs)
+    metrics, extras = runs.metrics(ctx, "sampled_stream")
     ctx.notes.append(f"detail share {median(shares):.4f} of covered records")
     return metrics, {**extras, **accuracy}
 
@@ -501,43 +563,61 @@ def serve_inputs(ctx, threads):
         pool.append({"kind": "sim", "trace": name, "config_text": config_text, "sets": sets,
                      "skip": skip, "warmup": 1000, "max_records": window, "ref": ref,
                      "records": window})
-    with open(ctx.path("sweep.spec"), "w") as f:
-        f.write(SWEEP_SPEC)
-    points = 1
-    for line in SWEEP_SPEC.splitlines():
-        points *= len(line.split("=")[1].split(","))
-    for name, records in traces:
-        ref = f"ref-sweep-{name}.csv"
-        sets = ["trace.backend=mmap"]
-        must(ctx, [ctx.cli, "sweep", "--spec", "sweep.spec", "--trace", name, *set_args(sets),
-                   "-j", str(threads), "--out", ref], "srv-ref")
-        pool.append({"kind": "sweep", "trace": name, "spec_text": SWEEP_SPEC, "sets": sets,
-                     "ref": ref, "records": points * records})
+    for i, spec in enumerate(SWEEP_SPECS):
+        with open(ctx.path(f"sweep{i}.spec"), "w") as f:
+            f.write(spec)
+        points = 1
+        for line in spec.splitlines():
+            points *= len(line.split("=")[1].split(","))
+        for name, records in traces:
+            ref = f"ref-sweep{i}-{name}.csv"
+            sets = ["trace.backend=mmap"]
+            must(ctx, [ctx.cli, "sweep", "--spec", f"sweep{i}.spec", "--trace", name,
+                       *set_args(sets), "-j", str(threads), "--out", ref], "srv-ref")
+            pool.append({"kind": "sweep", "trace": name, "spec_text": spec, "sets": sets,
+                         "ref": ref, "records": points * records})
     with open(ctx.path("pool.json"), "w") as f:
         json.dump(pool, f)
     return pool
 
 
-def serve_load(ctx, conns, threads, seconds):
-    """Run the closed-loop load generator against a fresh daemon."""
+def serve_wave(ctx, part, poll_ms):
+    """Wave `part` of pb_load against the running daemon: every SERVE_PARTS
+    waves send the whole pool once."""
+    rc, _, _, out = launch([os.path.join(ctx.bin, "pb_load"), "--socket", "d.sock",
+                            "--pool", "pool.json", "--conns", str(SERVE_CONNS),
+                            "--seed", str(ctx.seed), "--part", str(part % SERVE_PARTS),
+                            "--parts", str(SERVE_PARTS), "--poll-ms", str(poll_ms)],
+                           ctx.work, "load")
+    if rc != 0:
+        raise BenchError(f"pb_load exit code {rc}")
+    res = json.loads(out.strip().splitlines()[-1])
+    for r in res["requests"]:
+        ctx.check(r["ok"], f"served {r['kind']} pool[{r['pool']}]: {r['error']}")
+    return res
+
+
+def serve_session(ctx, threads, seconds, poll_ms=0, host=None):
+    """Waves against a fresh daemon until `seconds` have passed and the
+    pool has been sent whole, each wave between host probes when `host` is
+    given. Returns [(wave result, scale)] and the daemon's peak RSS."""
     daemon = Daemon(ctx, threads)
+    waves = []
     try:
         daemon.wait_ready()
-        rc, _, _, out = launch([os.path.join(ctx.bin, "pb_load"), "--socket", "d.sock",
-                                "--pool", "pool.json", "--conns", str(conns),
-                                "--seconds", str(seconds), "--seed", str(ctx.seed)],
-                               ctx.work, "load")
+        t0 = time.perf_counter()
+        while len(waves) % SERVE_PARTS or time.perf_counter() < t0 + seconds:
+            part = len(waves)
+            if host is None:
+                waves.append((serve_wave(ctx, part, poll_ms), 1.0))
+            else:
+                waves.append(host.step(lambda: serve_wave(ctx, part, poll_ms)))
     except BaseException:
         daemon.kill()
         raise
     rss = daemon.stop()
-    if rc != 0:
-        raise BenchError(f"pb_load exit code {rc}")
     ctx.check(daemon.proc.returncode == 0, f"serve exit code {daemon.proc.returncode}")
-    res = json.loads(out.strip().splitlines()[-1])
-    for r in res["requests"]:
-        ctx.check(r["ok"], f"served {r['kind']} pool[{r['pool']}]: {r['error']}")
-    return res, rss
+    return waves, rss
 
 
 def serve_setup(ctx, threads):
@@ -558,26 +638,49 @@ def serve_setup(ctx, threads):
 def served_mix(ctx):
     conns, threads = serve_shape()
     pool = serve_inputs(ctx, threads)
+    def spawns():
+        secs, scale = ctx.host.step(lambda: serve_setup(ctx, threads))
+        return secs, [t * scale for t in secs]
+
     # Set-up samples before and after the load phase, so they span the run.
-    setup = serve_setup(ctx, threads)
-    res, rss = serve_load(ctx, conns, threads, ctx.seconds)
-    setup += serve_setup(ctx, threads)
-    reqs = res["requests"]
-    sims = [r["ms"] if r["ok"] else FAILED_MS for r in reqs if r["kind"] == "sim"]
-    sweeps = [r["ms"] if r["ok"] else FAILED_MS for r in reqs if r["kind"] == "sweep"]
-    done = [r for r in reqs if r["ok"]]
-    if not sims or not sweeps:
-        raise BenchError("served_mix: the run completed no sim or no sweep request")
-    simulated = sum(pool[r["pool"]]["records"] for r in done)
-    ctx.notes.append(f"{conns} connections, serve -j {threads}, status {res['status']}")
+    raw_setup, setup = spawns()
+    waves, rss = [], []
+    for _ in range(SERVE_SESSIONS):
+        w, peak = serve_session(ctx, threads, ctx.seconds / SERVE_SESSIONS, host=ctx.host)
+        waves += w
+        rss.append(peak)
+    raw_after, after = spawns()
+    raw_setup += raw_after
+    setup += after
+    sims, sweeps = [], []
+    wall = raw_wall = 0.0
+    done = simulated = 0
+    for res, scale in waves:
+        wall += res["wave_s"] * scale
+        raw_wall += res["wave_s"]
+        for r in res["requests"]:
+            ms = r["ms"] * scale if r["ok"] else FAILED_MS
+            (sims if r["kind"] == "sim" else sweeps).append(ms)
+            if r["ok"]:
+                done += 1
+                simulated += pool[r["pool"]]["records"]
+    if not done:
+        raise BenchError("served_mix: no request passed its output check")
+    ctx.notes.append(f"{conns} connections, serve -j {threads}, {len(waves)} waves sending "
+                     f"the {len(pool)}-request pool {len(waves) // SERVE_PARTS} times over "
+                     f"{SERVE_SESSIONS} daemons, status after the last wave "
+                     f"{waves[-1][0]['status']}")
+    ctx.notes.append(f"unscaled: minsts_per_s {simulated / raw_wall / 1e6:.6g}, "
+                     f"req_per_s {done / raw_wall:.6g}, setup_s {median(raw_setup):.6g}")
     return {
-        "minsts_per_s": (simulated / res["elapsed_s"] / 1e6, "Minsts/s", len(done)),
+        "minsts_per_s": (simulated / wall / 1e6, "Minsts/s", done),
         "setup_s": (median(setup), "s", len(setup)),
-        "peak_rss_mb": (rss, "MB", 1),
-        "sim_req_p99_ms": (percentile(sims, 99), "ms", len(sims)),
-        "req_per_s": (len(done) / res["elapsed_s"], "1/s", len(done)),
-    }, {
+        "peak_rss_mb": (median(rss), "MB", len(rss)),
         "sim_req_p50_ms": (percentile(sims, 50), "ms", len(sims)),
+        "sim_req_p90_ms": (percentile(sims, 90), "ms", len(sims)),
+        "req_per_s": (done / wall, "1/s", done),
+    }, {
+        "sim_req_p99_ms": (percentile(sims, 99), "ms", len(sims)),
         "sweep_req_p50_ms": (percentile(sweeps, 50), "ms", len(sweeps)),
     }
 
@@ -588,12 +691,13 @@ def traced(ctx, workload):
     """Per-layer metrics: spans around library calls (pb_layers) plus a
     served load phase whose client latencies, minus the direct
     serve::run_* time of the same request, give the queue wait."""
-    conns, threads = serve_shape()
+    _, threads = serve_shape()
     deep_inputs(ctx)
     sample_inputs(ctx)
     _, accuracy = sample_accuracy(ctx)
     pool = serve_inputs(ctx, threads)
-    res, _ = serve_load(ctx, conns, threads, max(1, ctx.seconds // 2))
+    waves, _ = serve_session(ctx, threads, max(1, ctx.seconds // 3), poll_ms=100)
+    requests = [r for res, _ in waves for r in res["requests"]]
     # Outside the work directory, which is removed when the run ends.
     spans = os.path.join(ctx.bin, "spans", f"{workload}-s{ctx.seed}.json")
     os.makedirs(os.path.dirname(spans), exist_ok=True)
@@ -603,7 +707,8 @@ def traced(ctx, workload):
                                "--sampled-config", cfg_path("paper_2wide_cache.cfg"),
                                "--window", str(SAMPLE_W), "--warmup", str(SAMPLE_U),
                                "--windows", str(SAMPLE_PLANS[0]), "--pool", "pool.json",
-                               "--threads", str(threads), "--spans", spans],
+                               "--threads", str(min(LAYER_THREADS, nproc())),
+                               "--spans", spans],
                               ctx.work, "layers")
     if rc != 0:
         raise BenchError(f"pb_layers exit code {rc}")
@@ -618,20 +723,22 @@ def traced(ctx, workload):
     if len(layers["direct_ms"]) != len(pool):
         raise BenchError("pb_layers did not time every pool request")
     waits = [r["ms"] - layers["direct_ms"][r["pool"]]
-             for r in res["requests"] if r["kind"] == "sim" and r["ok"]]
-    st = res["status"]
+             for r in requests if r["kind"] == "sim" and r["ok"]]
+    st = waves[-1][0]["status"]
     metrics = {k: tuple(v) for k, v in layers["metrics"].items()}
     metrics.update(accuracy)
-    for kind in ("sim", "sweep"):
-        ms = [r["ms"] if r["ok"] else FAILED_MS for r in res["requests"] if r["kind"] == kind]
-        metrics[f"{kind}_req_p50_ms"] = (percentile(ms, 50), "ms", len(ms))
+    sims = [r["ms"] if r["ok"] else FAILED_MS for r in requests if r["kind"] == "sim"]
+    sweeps = [r["ms"] if r["ok"] else FAILED_MS for r in requests if r["kind"] == "sweep"]
+    metrics["sim_req_p99_ms"] = (percentile(sims, 99), "ms", len(sims))
+    metrics["sweep_req_p50_ms"] = (percentile(sweeps, 50), "ms", len(sweeps))
     lookups = st["trace_cache_hits"] + st["trace_cache_loads"]
     metrics.update({
         "serve.queue_wait_ms.p50": (percentile(waits, 50), "ms", len(waits)),
         "serve.queue_wait_ms.p99": (percentile(waits, 99), "ms", len(waits)),
         "serve.trace_cache_hit_ratio": (st["trace_cache_hits"] / lookups if lookups else 0.0,
                                         "ratio", lookups),
-        "serve.pending_max": (res["pending_max"], "count", res["status_polls"]),
+        "serve.pending_max": (max(res["pending_max"] for res, _ in waves), "count",
+                              sum(res["status_polls"] for res, _ in waves)),
         "serve.rejected_busy": (st["rejected_busy"], "count", 1),
         "serve.failed": (st["failed"], "count", 1),
     })
@@ -665,6 +772,7 @@ def main():
         run = {"deep_rob_sim": deep_rob_sim, "sampled_stream": sampled_stream,
                "served_mix": served_mix}[a.workload]
         metrics, extras = run(ctx)
+        ctx.host.note(ctx)
 
     print(f"# workload {a.workload} seed {a.seed} seconds {a.seconds} trace {a.trace}")
     print("# provenance " + json.dumps(prov, sort_keys=True))
