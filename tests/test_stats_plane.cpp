@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -209,9 +210,11 @@ TEST(StatsSnapshotDelta, DeltaOfEqualSnapshotsIsZero) {
 // ---- engine-level: result() is repeatable and handle-driven ---------------
 
 core::SimResult run_paper_machine(const std::string& cfg_file, std::uint64_t insts,
-                                  std::string* report_out = nullptr) {
+                                  std::string* report_out = nullptr,
+                                  const std::vector<std::string>& sets = {}) {
   core::CoreConfig cfg = core::CoreConfig::paper_4wide_perfect();
   config::load_config_file(std::string(RESIM_SOURCE_DIR) + "/configs/" + cfg_file, cfg);
+  for (const std::string& s : sets) (void)config::apply_set(cfg, s);
   // The sweep_point pairing every paper experiment uses: the generator
   // predicts with the engine's predictor configuration.
   trace::TraceGenConfig g;
@@ -230,26 +233,38 @@ core::SimResult run_paper_machine(const std::string& cfg_file, std::uint64_t ins
   return r;
 }
 
-TEST(StatsGolden, Paper4WidePerfectReportIsByteExact) {
+// Compares the full stats report of a 30000-instruction gzip run against
+// tests/golden/<golden>.
+void expect_golden_report(const std::string& cfg_file, const std::string& golden_name,
+                          const std::vector<std::string>& sets = {}) {
   std::string report;
-  (void)run_paper_machine("paper_4wide_perfect.cfg", 30000, &report);
-  std::ifstream golden(std::string(RESIM_SOURCE_DIR) +
-                       "/tests/golden/stats_paper_4wide_perfect.txt");
-  ASSERT_TRUE(golden) << "missing tests/golden/stats_paper_4wide_perfect.txt";
+  (void)run_paper_machine(cfg_file, 30000, &report, sets);
+  std::ifstream golden(std::string(RESIM_SOURCE_DIR) + "/tests/golden/" + golden_name);
+  ASSERT_TRUE(golden) << "missing tests/golden/" << golden_name;
   std::ostringstream want;
   want << golden.rdbuf();
   EXPECT_EQ(report, want.str());
 }
 
+TEST(StatsGolden, Paper4WidePerfectReportIsByteExact) {
+  expect_golden_report("paper_4wide_perfect.cfg", "stats_paper_4wide_perfect.txt");
+}
+
 TEST(StatsGolden, Paper2WideCacheReportIsByteExact) {
-  std::string report;
-  (void)run_paper_machine("paper_2wide_cache.cfg", 30000, &report);
-  std::ifstream golden(std::string(RESIM_SOURCE_DIR) +
-                       "/tests/golden/stats_paper_2wide_cache.txt");
-  ASSERT_TRUE(golden) << "missing tests/golden/stats_paper_2wide_cache.txt";
-  std::ostringstream want;
-  want << golden.rdbuf();
-  EXPECT_EQ(report, want.str());
+  expect_golden_report("paper_2wide_cache.cfg", "stats_paper_2wide_cache.txt");
+}
+
+// Deep-window goldens. The paper configs run LSQ 8, which caps a ROB 256
+// window at about 31 entries; these LSQ sizes let the window fill, so
+// they pin the timing of wakeup, select and writeback over a deep ROB.
+TEST(StatsGolden, Paper4WidePerfectRob256ReportIsByteExact) {
+  expect_golden_report("paper_4wide_perfect.cfg", "stats_paper_4wide_perfect_rob256.txt",
+                       {"core.rob_size=256", "core.lsq_size=64"});
+}
+
+TEST(StatsGolden, Paper2WideCacheRob64ReportIsByteExact) {
+  expect_golden_report("paper_2wide_cache.cfg", "stats_paper_2wide_cache_rob64.txt",
+                       {"core.rob_size=64", "core.lsq_size=32"});
 }
 
 TEST(StatsGolden, CacheMachinePublishesL1CountersEvenWhenIdle) {
