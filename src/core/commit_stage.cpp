@@ -65,19 +65,21 @@ void ReSimEngine::stage_commit() {
     cstat_.insts.add();
     if (e.is_mem()) (e.is_store() ? cstat_.stores : cstat_.loads).add();
 
-    const bool was_branch = e.is_branch();
-    const auto outcome = e.fi.outcome;
-    const FetchedInst fi = e.fi;  // copy before pop invalidates the entry
-    rob_.pop_head();
+    if (!e.is_branch()) {
+      rob_.pop_head();
+      continue;
+    }
 
-    if (was_branch) {
-      cstat_.branches.add();
-      const Addr actual_next = fi.rec.taken ? fi.rec.target : fi.pc + kInstBytes;
-      bp_.update_commit(fi.pc, fi.rec.ctrl, fi.rec.taken, actual_next, fi.pred);
-      if (outcome == bpred::Outcome::kMispredict) {
-        squash_and_redirect(actual_next);
-        break;  // the squash empties the window; nothing further commits
-      }
+    // Branch: train the predictor from the entry, then release it.
+    cstat_.branches.add();
+    const FetchedInst& fi = e.fi;
+    const Addr actual_next = fi.rec.taken ? fi.rec.target : fi.pc + kInstBytes;
+    bp_.update_commit(fi.pc, fi.rec.ctrl, fi.rec.taken, actual_next, fi.pred);
+    const bool mispredicted = fi.outcome == bpred::Outcome::kMispredict;
+    rob_.pop_head();
+    if (mispredicted) {
+      squash_and_redirect(actual_next);
+      break;  // the squash empties the window; nothing further commits
     }
   }
 }

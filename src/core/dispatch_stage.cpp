@@ -30,42 +30,45 @@ void ReSimEngine::stage_dispatch() {
       break;
     }
 
-    FetchedInst inst = ifq_.pop();
+    const int rob_slot = rob_.allocate(ifq_.pop(), cycle_);
+    RobEntry& e = rob_.entry(rob_slot);
+    trace::TraceRecord& rec = e.fi.rec;
     // Decode normalization: stores write no register. A malformed record
     // carrying a destination would otherwise rename a register to an
     // instruction that never broadcasts a result (stores complete through
     // Lsq_refresh, not Writeback) and strand its consumers.
-    if (inst.rec.is_mem() && inst.rec.is_store) inst.rec.out = kNoReg;
-    const int rob_slot = rob_.allocate();
-    RobEntry& e = rob_.entry(rob_slot);
-    e.fi = inst;
-    e.dispatched_at = cycle_;
+    if (rec.is_mem() && rec.is_store) rec.out = kNoReg;
 
     // Rename-table read: source operands either have an in-flight
-    // producer (pending until its writeback) or are architecturally ready.
-    const Reg srcs[2] = {inst.rec.in1, inst.rec.in2};
+    // producer (pending until its writeback, which walks the producer's
+    // dependent list) or are architecturally ready.
+    const Reg srcs[2] = {rec.in1, rec.in2};
     for (int k = 0; k < 2; ++k) {
       const int producer = rename_.lookup(srcs[k]);
-      if (producer >= 0 && !rob_.entry(producer).completed) {
-        e.src_rob[k] = producer;
-        ++e.src_pending;
-      }
+      if (producer < 0) continue;
+      RobEntry& p = rob_.entry(producer);
+      if (p.completed) continue;
+      e.src_rob[k] = producer;
+      ++e.src_pending;
+      e.dep_next[k] = p.dep_head;
+      p.dep_head = rob_slot * 2 + k;
     }
 
     // Rename-table write: this entry becomes the newest producer.
-    rename_.set(inst.rec.out, rob_slot);
+    rename_.set(rec.out, rob_slot);
 
-    if (inst.rec.is_mem()) {
-      const int lsq_slot = lsq_.allocate();
-      LsqEntry& m = lsq_.entry(lsq_slot);
-      m.is_store = inst.rec.is_store;
+    if (rec.is_mem()) {
+      LsqEntry m;
+      m.is_store = rec.is_store;
       m.rob_slot = rob_slot;
-      m.seq = inst.seq;
-      m.addr = inst.rec.addr;
-      e.lsq_slot = lsq_slot;
-      (inst.rec.is_store ? dstat_.stores : dstat_.loads).add();
+      m.seq = e.fi.seq;
+      m.addr = rec.addr;
+      e.lsq_slot = lsq_.allocate(m);
+      (rec.is_store ? dstat_.stores : dstat_.loads).add();
     }
 
+    // Every new entry has issue work: an FU op, or address generation.
+    issue_list_.push_back(rob_slot);
     dstat_.insts.add();
   }
 }

@@ -26,7 +26,10 @@ ReSimEngine::ReSimEngine(const CoreConfig& cfg, trace::TraceSource& source)
       cstat_(stats_),
       ostat_(stats_) {
   cfg_.validate();
+  issue_list_.reserve(cfg_.rob_size);
+  inflight_.reserve(cfg_.rob_size);
   issue_cands_.reserve(cfg_.rob_size);
+  wb_due_.reserve(cfg_.rob_size);
   // The first record carries no PC context: PCs are implicit from the
   // program base until the first branch record resyncs us (DESIGN.md §5).
   fetch_pc_ = isa::Program::kDefaultBase;
@@ -79,15 +82,20 @@ void ReSimEngine::sample_occupancy_and_advance() {
 }
 
 void ReSimEngine::wake_dependents(int producer_slot) {
-  for (unsigned i = 0; i < rob_.size(); ++i) {
-    RobEntry& e = rob_.entry(rob_.slot_at(i));
-    for (int k = 0; k < 2; ++k) {
-      if (e.src_rob[k] == producer_slot && e.src_pending > 0) {
-        e.src_rob[k] = -1;
-        --e.src_pending;
-      }
+  // Only the consumers dispatch linked to this producer can name it:
+  // a producer completes before it commits, so no live entry holds a
+  // source renamed to an earlier occupant of the slot.
+  RobEntry& p = rob_.entry(producer_slot);
+  for (int node = p.dep_head; node >= 0;) {
+    RobEntry& e = rob_.entry(node >> 1);
+    const int k = node & 1;
+    node = e.dep_next[k];
+    if (e.src_rob[k] == producer_slot && e.src_pending > 0) {
+      e.src_rob[k] = -1;
+      --e.src_pending;
     }
   }
+  p.dep_head = -1;
 }
 
 void ReSimEngine::squash_and_redirect(Addr resume_pc) {
@@ -100,6 +108,8 @@ void ReSimEngine::squash_and_redirect(Addr resume_pc) {
   lsq_.clear();
   ifq_.clear();
   rename_.clear();
+  issue_list_.clear();
+  inflight_.clear();
 
   // Discard tagged records not fetched by the resolution point (§V.A).
   while (src_.peek() != nullptr && src_.peek()->wrong_path) {

@@ -261,14 +261,25 @@ class ReSimEngine {
   CommitStats cstat_;
   OccupancyStats ostat_;
 
-  // Issue-stage candidate scratch, hoisted out of the cycle loop so the
-  // hot path never allocates.
+  // Event-driven scheduling lists (docs/ENGINE.md §4), so each stage
+  // touches only the entries with work instead of scanning the ROB. All
+  // hold ROB slots, reserve the ROB's capacity once, and are emptied by
+  // a squash.
+  //  * issue_list_: age-ordered entries that still have issue work
+  //    (dispatch appends; issue drops finished entries in order);
+  //  * inflight_: issued entries not yet written back, in issue order.
+  std::vector<int> issue_list_;
+  std::vector<int> inflight_;
+
+  // Per-cycle scratch, hoisted out of the cycle loop so the hot path
+  // never allocates.
   enum class IssueCandKind : std::uint8_t { kFuOp, kAgen, kLoadMem };
   struct IssueCand {
     int rob_slot;
     IssueCandKind kind;
   };
   std::vector<IssueCand> issue_cands_;
+  std::vector<int> wb_due_;  ///< in-flight slots whose result is due
 
   Cycle cycle_ = 0;
   InstSeq next_seq_ = 0;

@@ -6,7 +6,8 @@
 //    their value has not been forwarded in the LSQ. Issue also schedules
 //    a Writeback event."
 //
-// Scheduling is oldest-first over the ROB with a total width of N slots
+// Scheduling is oldest-first over the issue list (the ROB entries that
+// still have issue work, in age order) with a total width of N slots
 // per cycle. Memory operations take two issue steps: address generation
 // on an ALU, then (loads) the cache access once Lsq_refresh marks them
 // ready. In the Optimized pipeline, slot 0 may not hold a load memory
@@ -28,15 +29,32 @@ IssueStats::IssueStats(StatsRegistry& reg)
       load_hits(reg.counter("issue.load_hits")),
       load_misses(reg.counter("issue.load_misses")) {}
 
+namespace {
+
+/// An entry still has issue work while an FU op is unissued, a memory
+/// op's address generation is unissued, or a load's access is unissued.
+bool has_issue_work(const RobEntry& e) {
+  if (!e.is_mem()) return !e.issued;
+  return !e.agen_issued || (e.is_load() && !e.issued);
+}
+
+}  // namespace
+
 void ReSimEngine::stage_issue() {
-  // Collect issue candidates oldest-first against begin-of-stage state.
+  // Collect issue candidates oldest-first against begin-of-stage state,
+  // walking only the age-ordered issue list, and drop the entries whose
+  // issue work finished (in an earlier cycle) in the same pass. An entry
+  // that finishes issuing in cycle C cannot commit before C+2, so it
+  // leaves the list before its slot can be reallocated.
   // issue_cands_ is a member scratch buffer (capacity reserved once in
   // the constructor): clearing keeps the allocation across cycles.
   std::vector<IssueCand>& cands = issue_cands_;
   cands.clear();
-  for (unsigned i = 0; i < rob_.size(); ++i) {
-    const int slot = rob_.slot_at(i);
+  std::size_t kept = 0;
+  for (const int slot : issue_list_) {
     const RobEntry& e = rob_.entry(slot);
+    if (!has_issue_work(e)) continue;
+    issue_list_[kept++] = slot;
     if (e.completed || e.dispatched_at >= cycle_) continue;
 
     if (e.is_mem()) {
@@ -54,6 +72,7 @@ void ReSimEngine::stage_issue() {
       cands.push_back({slot, IssueCandKind::kFuOp});
     }
   }
+  issue_list_.resize(kept);
 
   // Optimized pipeline: if the oldest candidate is a load memory access,
   // pull the first non-load candidate into slot 0 (ages otherwise kept).
@@ -86,6 +105,7 @@ void ReSimEngine::stage_issue() {
         }
         e.issued = true;
         e.complete_at = cycle_ + *lat;
+        inflight_.push_back(c.rob_slot);
         ++used_slots;
         istat_.ops.add();
         break;
@@ -119,6 +139,7 @@ void ReSimEngine::stage_issue() {
           m.mem_issued = true;
           e.issued = true;
           e.complete_at = cycle_ + 1;
+          inflight_.push_back(c.rob_slot);
           ++used_slots;
           istat_.loads_forwarded.add();
         } else {
@@ -131,6 +152,7 @@ void ReSimEngine::stage_issue() {
           m.mem_issued = true;
           e.issued = true;
           e.complete_at = cycle_ + res.latency;
+          inflight_.push_back(c.rob_slot);
           ++used_slots;
           (res.hit ? istat_.load_hits : istat_.load_misses).add();
         }

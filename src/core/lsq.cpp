@@ -6,26 +6,21 @@
 
 namespace resim::core {
 
-Lsq::Lsq(unsigned capacity) : entries_(capacity) {
+Lsq::Lsq(unsigned capacity) : entries_(capacity), capacity_(capacity) {
   require(capacity >= 1, "Lsq: capacity >= 1");
 }
 
-int Lsq::allocate() {
+int Lsq::allocate(const LsqEntry& e) {
   if (full()) throw std::logic_error("Lsq::allocate on full LSQ");
-  const unsigned slot = (head_ + count_) % entries_.size();
+  const unsigned slot = wrap(head_ + count_);
   ++count_;
-  entries_[slot] = LsqEntry{};
+  entries_[slot] = e;
   return static_cast<int>(slot);
-}
-
-int Lsq::slot_at(unsigned age_index) const {
-  if (age_index >= count_) throw std::out_of_range("Lsq::slot_at");
-  return static_cast<int>((head_ + age_index) % entries_.size());
 }
 
 void Lsq::pop_head() {
   if (empty()) throw std::logic_error("Lsq::pop_head on empty LSQ");
-  head_ = (head_ + 1) % static_cast<unsigned>(entries_.size());
+  head_ = wrap(head_ + 1);
   --count_;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,15 +37,19 @@ class Lsq {
  public:
   explicit Lsq(unsigned capacity);
 
-  [[nodiscard]] unsigned capacity() const { return static_cast<unsigned>(entries_.size()); }
+  [[nodiscard]] unsigned capacity() const { return capacity_; }
   [[nodiscard]] unsigned size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] bool full() const { return count_ == entries_.size(); }
+  [[nodiscard]] bool full() const { return count_ == capacity_; }
 
-  /// Allocate the next entry in program order; returns its physical slot.
-  int allocate();
+  /// Allocate the next entry in program order, written once from `e`;
+  /// returns its physical slot.
+  int allocate(const LsqEntry& e = {});
 
-  [[nodiscard]] int slot_at(unsigned age_index) const;
+  [[nodiscard]] int slot_at(unsigned age_index) const {
+    if (age_index >= count_) throw std::out_of_range("Lsq::slot_at");
+    return static_cast<int>(wrap(head_ + age_index));
+  }
   [[nodiscard]] LsqEntry& entry(int slot) { return entries_.at(static_cast<std::size_t>(slot)); }
   [[nodiscard]] const LsqEntry& entry(int slot) const {
     return entries_.at(static_cast<std::size_t>(slot));
@@ -58,7 +63,11 @@ class Lsq {
   void clear();
 
  private:
+  /// Ring index of i < 2 * capacity(): a conditional subtract, not a `%`.
+  [[nodiscard]] unsigned wrap(unsigned i) const { return i >= capacity() ? i - capacity() : i; }
+
   std::vector<LsqEntry> entries_;
+  unsigned capacity_;
   unsigned head_ = 0;
   unsigned count_ = 0;
 };

@@ -4,12 +4,13 @@
 //    calculated, and there are no unresolved memory dependencies. These
 //    checks are performed by Lsq_refresh."
 //
-// The scan walks the LSQ in program order, tracking older stores:
-//  * a load with a completed address is blocked while any older store's
-//    address is unknown (conservative memory disambiguation);
-//  * an older completed store to the same word forwards its value
-//    (§III: "a read port is allocated if their value has not been
-//    forwarded in the LSQ");
+// The scan walks the LSQ in program order. A load with a completed
+// address is decided by the youngest older store whose address is
+// unknown or names the same word:
+//  * an unknown address blocks it (conservative memory disambiguation);
+//  * a same-word store blocks it until the store completes, then
+//    forwards its value (§III: "a read port is allocated if their value
+//    has not been forwarded in the LSQ");
 //  * stores become commit-ready (store_done) once their address
 //    generation — which waits for both base and data registers — has
 //    completed.
@@ -46,25 +47,24 @@ void ReSimEngine::stage_lsq_refresh() {
     // Loads.
     if (m.mem_issued || m.mem_ready || !m.addr_ready(cycle_)) continue;
 
+    // The youngest older store whose address is unknown or names the
+    // same word decides (program-order conflict checks, where each later
+    // store overrides an earlier verdict): an unknown address or a
+    // matching store without its data blocks, a matching completed store
+    // forwards. Without one the load reads memory.
     bool blocked = false;
     bool forwarded = false;
-    // Scan older memory operations (program order) for conflicts; the
-    // youngest older store to the same word wins the forwarding match.
-    for (unsigned j = 0; j < i; ++j) {
+    for (unsigned j = i; j-- > 0;) {
       const LsqEntry& older = lsq_.entry(lsq_.slot_at(j));
       if (!older.is_store) continue;
       if (!older.addr_ready(cycle_)) {
         blocked = true;  // unresolved memory dependence
-        forwarded = false;
-        continue;
+        break;
       }
       if (older.addr == m.addr) {
-        if (older.store_done) {
-          forwarded = true;
-          blocked = false;
-        } else {
-          blocked = true;  // matching store's data not ready yet
-        }
+        forwarded = older.store_done;
+        blocked = !older.store_done;  // matching store's data not ready yet
+        break;
       }
     }
 

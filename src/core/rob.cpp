@@ -1,31 +1,27 @@
 #include "core/rob.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/numeric.hpp"
 
 namespace resim::core {
 
-Rob::Rob(unsigned capacity) : entries_(capacity) {
+Rob::Rob(unsigned capacity) : entries_(capacity), capacity_(capacity) {
   require(capacity >= 1, "Rob: capacity >= 1");
 }
 
-int Rob::allocate() {
+int Rob::allocate(FetchedInst fi, Cycle dispatched_at) {
   if (full()) throw std::logic_error("Rob::allocate on full ROB");
-  const unsigned slot = (head_ + count_) % entries_.size();
+  const unsigned slot = wrap(head_ + count_);
   ++count_;
-  entries_[slot] = RobEntry{};
+  entries_[slot] = RobEntry{.fi = std::move(fi), .dispatched_at = dispatched_at};
   return static_cast<int>(slot);
-}
-
-int Rob::slot_at(unsigned age_index) const {
-  if (age_index >= count_) throw std::out_of_range("Rob::slot_at");
-  return static_cast<int>((head_ + age_index) % entries_.size());
 }
 
 void Rob::pop_head() {
   if (empty()) throw std::logic_error("Rob::pop_head on empty ROB");
-  head_ = (head_ + 1) % static_cast<unsigned>(entries_.size());
+  head_ = wrap(head_ + 1);
   --count_;
 }
 

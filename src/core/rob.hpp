@@ -6,6 +6,7 @@
 #define RESIM_CORE_ROB_H
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "bpred/unit.hpp"
@@ -43,6 +44,12 @@ struct RobEntry {
 
   int lsq_slot = -1;        ///< -1 for non-memory instructions
 
+  // Dependent list (docs/ENGINE.md §4): the consumers renamed to this
+  // entry's result, as nodes `slot * 2 + operand` threaded through each
+  // consumer's dep_next[operand]. Dispatch links, Writeback walks once.
+  int dep_head = -1;
+  int dep_next[2] = {-1, -1};
+
   [[nodiscard]] bool is_mem() const { return fi.rec.is_mem(); }
   [[nodiscard]] bool is_load() const { return fi.rec.is_load(); }
   [[nodiscard]] bool is_store() const { return fi.rec.is_mem() && fi.rec.is_store; }
@@ -53,17 +60,28 @@ class Rob {
  public:
   explicit Rob(unsigned capacity);
 
-  [[nodiscard]] unsigned capacity() const { return static_cast<unsigned>(entries_.size()); }
+  [[nodiscard]] unsigned capacity() const { return capacity_; }
   [[nodiscard]] unsigned size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] bool full() const { return count_ == entries_.size(); }
+  [[nodiscard]] bool full() const { return count_ == capacity_; }
 
-  /// Allocate the next entry in program order; returns its physical slot.
+  /// Allocate the next entry in program order, written once from `fi`
+  /// (every other field at its default); returns its physical slot.
   /// Precondition: !full().
-  int allocate();
+  int allocate(FetchedInst fi = {}, Cycle dispatched_at = 0);
 
   /// Physical slot of the i-th oldest entry (0 == head).
-  [[nodiscard]] int slot_at(unsigned age_index) const;
+  [[nodiscard]] int slot_at(unsigned age_index) const {
+    if (age_index >= count_) throw std::out_of_range("Rob::slot_at");
+    return static_cast<int>(wrap(head_ + age_index));
+  }
+
+  /// Age index of a live entry's physical slot (0 == head): the inverse
+  /// of slot_at.
+  [[nodiscard]] unsigned age_of(int slot) const {
+    const auto s = static_cast<unsigned>(slot);
+    return s >= head_ ? s - head_ : s + capacity() - head_;
+  }
 
   [[nodiscard]] RobEntry& entry(int slot) { return entries_.at(static_cast<std::size_t>(slot)); }
   [[nodiscard]] const RobEntry& entry(int slot) const {
@@ -80,7 +98,11 @@ class Rob {
   void clear();
 
  private:
+  /// Ring index of i < 2 * capacity(): a conditional subtract, not a `%`.
+  [[nodiscard]] unsigned wrap(unsigned i) const { return i >= capacity() ? i - capacity() : i; }
+
   std::vector<RobEntry> entries_;
+  unsigned capacity_;
   unsigned head_ = 0;
   unsigned count_ = 0;
 };

@@ -10,6 +10,9 @@
 // the paper's §IV.B commit-blocking flag.
 #include "core/engine.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace resim::core {
 
 WritebackStats::WritebackStats(StatsRegistry& reg)
@@ -17,17 +20,28 @@ WritebackStats::WritebackStats(StatsRegistry& reg)
 
 
 void ReSimEngine::stage_writeback() {
-  unsigned broadcast = 0;
-  for (unsigned i = 0; i < rob_.size() && broadcast < cfg_.width; ++i) {
-    const int slot = rob_.slot_at(i);
-    RobEntry& e = rob_.entry(slot);
-    if (!e.issued || e.completed || e.complete_at > cycle_) continue;
+  // The in-flight list holds exactly the issued, not-yet-completed
+  // entries, so filtering it by complete_at finds what a ROB scan would.
+  std::vector<int>& due = wb_due_;
+  due.clear();
+  for (const int slot : inflight_) {
+    if (rob_.entry(slot).complete_at <= cycle_) due.push_back(slot);
+  }
+  if (due.empty()) return;
+  if (due.size() > cfg_.width) {
+    // Oldest first by ROB age, up to the width. (Below the width, order
+    // is immaterial: every due entry broadcasts, and wakeups commute.)
+    const auto by_age = [this](int a, int b) { return rob_.age_of(a) < rob_.age_of(b); };
+    std::partial_sort(due.begin(), due.begin() + cfg_.width, due.end(), by_age);
+    due.resize(cfg_.width);
+  }
 
-    e.completed = true;
-    ++broadcast;
+  for (const int slot : due) {
+    rob_.entry(slot).completed = true;
     wstat_.broadcasts.add();
     wake_dependents(slot);
   }
+  std::erase_if(inflight_, [this](int slot) { return rob_.entry(slot).completed; });
 }
 
 }  // namespace resim::core
