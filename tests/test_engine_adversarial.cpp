@@ -1,5 +1,8 @@
 // Adversarial and fuzz tests: hostile trace streams and boundary
 // configurations must never hang, crash or violate invariants.
+#include <algorithm>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -192,26 +195,41 @@ TEST_P(EngineFuzz, RandomTraceStreamsNeverHang) {
     pc += 8;
   }
 
+  // Window sizes include non-powers of two (ring wraparound off a power
+  // of two) and deep windows whose dependent lists outlive many squashes.
+  constexpr unsigned kRobSizes[] = {3, 4, 7, 8, 16, 17, 100, 256};
+  constexpr unsigned kLsqSizes[] = {2, 3, 8, 13, 32, 64};
+  constexpr PipelineVariant kVariants[] = {PipelineVariant::kSimple, PipelineVariant::kEfficient,
+                                           PipelineVariant::kOptimized};
   auto cfg = CoreConfig::paper_4wide_perfect();
-  cfg.width = 1u << rng.below(3);                 // 1, 2, 4
-  cfg.rob_size = 4u << rng.below(3);              // 4..16
-  cfg.lsq_size = 2u << rng.below(3);              // 2..8
+  cfg.variant = kVariants[rng.below(3)];
+  const bool optimized = cfg.variant == PipelineVariant::kOptimized;
+  // The Optimized pipeline needs <= width-1 memory ports, so width >= 2.
+  cfg.width = std::max(optimized ? 2u : 1u, 1u << rng.below(3));  // 1, 2, 4
+  cfg.rob_size = kRobSizes[rng.below(std::size(kRobSizes))];
+  cfg.lsq_size = kLsqSizes[rng.below(std::size(kLsqSizes))];
   cfg.ifq_size = std::max(cfg.width, 2u << rng.below(3));
-  cfg.variant = PipelineVariant::kEfficient;
-  cfg.mem_read_ports = 1 + static_cast<unsigned>(rng.below(2));
+  const unsigned max_read_ports = optimized ? std::min(2u, cfg.width - 1) : 2u;
+  cfg.mem_read_ports = 1 + static_cast<unsigned>(rng.below(max_read_ports));
   cfg.bp.kind = static_cast<bpred::DirKind>(rng.below(5));
+  // Cache misses keep loads in flight long enough for several results to
+  // fall due in one cycle, beyond the writeback width.
+  if (rng.chance(1, 2)) cfg.mem = cache::MemSysConfig::paper_l1();
 
   const auto r = run_trace(wrap(recs), cfg);
   // Invariants: terminates (no watchdog throw), balance holds, window
-  // bounds respected.
+  // bounds respected, commit never outruns the width.
   EXPECT_EQ(r.fetched, r.committed + r.squashed);
   EXPECT_LE(r.stats.occupancies().at("occ.rob").max(), cfg.rob_size);
   EXPECT_LE(r.stats.occupancies().at("occ.lsq").max(), cfg.lsq_size);
   EXPECT_GT(r.committed, 0u);
+  EXPECT_GE(r.major_cycles * cfg.width, r.committed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233));
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377,
+                                           610, 987, 1597, 2584, 4181, 6765, 10946, 17711,
+                                           28657, 46368, 75025));
 
 }  // namespace
 }  // namespace resim::core
