@@ -70,6 +70,23 @@ Workload make_div_chain(std::uint32_t iterations, int length) {
   return finish(a, "div_chain");
 }
 
+Workload make_indep_div(std::uint32_t iterations, int streams, int length) {
+  AsmBuilder a("indep_div");
+  outer_prologue(a, iterations);
+  const Reg one = 2;
+  a.li(one, 1);
+  for (int s = 0; s < streams; ++s) a.li(static_cast<Reg>(3 + s), (s + 1) << 20);
+  a.label("loop");
+  for (int i = 0; i < length; ++i) {
+    // Sources are never written and each destination is only written,
+    // so no divide waits on another's result — only on the divider.
+    const int s = i % streams;
+    a.div(static_cast<Reg>(3 + streams + s), static_cast<Reg>(3 + s), one);
+  }
+  outer_epilogue(a, "loop");
+  return finish(a, "indep_div");
+}
+
 Workload make_pointer_chase(std::uint32_t iterations, int length) {
   AsmBuilder a("pointer_chase");
   outer_prologue(a, iterations);

@@ -25,6 +25,12 @@ namespace resim::workload {
 /// Dependent divide chain → IPC → 1/div_latency (unpipelined unit).
 [[nodiscard]] Workload make_div_chain(std::uint32_t iterations, int length = 4);
 
+/// `length` mutually independent divides per loop iteration, spread over
+/// `streams` source/destination register pairs → IPC → the divider
+/// occupancy bound, (length + 2) / (length * div_latency) on one
+/// unpipelined unit.
+[[nodiscard]] Workload make_indep_div(std::uint32_t iterations, int streams = 4, int length = 4);
+
 /// Pointer chase: each load's address depends on the previous load.
 [[nodiscard]] Workload make_pointer_chase(std::uint32_t iterations, int length = 8);
 

@@ -53,13 +53,27 @@ TEST(Golden, DivChainPacedByUnpipelinedDivider) {
 }
 
 TEST(Golden, IndependentDivsStillSerializeOnOneUnit) {
-  // Even independent divides share the single unpipelined divider.
-  auto wl = workload::make_indep_alu(1 << 20, 4, 4);
-  // Swap: use div chain with independent values by comparing against
-  // the dependent case — both are bounded by the single divider.
-  const auto dep = run_micro(workload::make_div_chain(1 << 20, 4), 8000);
-  EXPECT_LT(dep.ipc(), 0.25);
-  (void)wl;
+  // Each iteration is kDivs mutually independent divides plus the
+  // 2-instruction loop overhead. The single unpipelined divider holds
+  // every divide for its full latency, so an iteration takes at least
+  // kDivs * div_latency cycles: IPC <= (kDivs + 2) / (kDivs * 10) = 0.15,
+  // independence notwithstanding.
+  constexpr int kDivs = 4;
+  const CoreConfig cfg = CoreConfig::paper_4wide_perfect();
+  ASSERT_EQ(cfg.fu.div_count, 1u);
+  ASSERT_FALSE(cfg.fu.div_pipelined);
+  const double ceiling = double(kDivs + 2) / double(kDivs * cfg.fu.div_latency);
+  const auto one = run_micro(workload::make_indep_div(1 << 20, kDivs, kDivs), 8000, cfg);
+  EXPECT_LE(one.ipc(), ceiling * 1.01);
+  EXPECT_GT(one.ipc(), ceiling * 0.9);  // nothing else limits the loop
+
+  // The divides really are independent: with one divider per stream they
+  // overlap, which a dependent chain could not.
+  CoreConfig per_stream = cfg;
+  per_stream.fu.div_count = kDivs;
+  const auto many =
+      run_micro(workload::make_indep_div(1 << 20, kDivs, kDivs), 8000, per_stream);
+  EXPECT_GT(many.ipc(), 2 * ceiling);
 }
 
 TEST(Golden, PointerChaseBoundByLoadUseChain) {
