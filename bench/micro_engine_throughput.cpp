@@ -7,7 +7,9 @@
 // bench measures timing logic, not bookkeeping.
 //
 // Grid: every suite workload x {efficient, optimized} pipeline x
-// {memory, stream} trace backend. Each point runs `reps` times and
+// {memory, stream} trace backend, plus a ROB-size axis (gzip, optimized,
+// memory, ROB 16/64/256 with an LSQ of half the ROB) that shows whether
+// host cost follows the window size. Each point runs `reps` times and
 // keeps the fastest (cold caches and scheduler jitter only ever slow a
 // run down); every run cross-checks committed/cycle totals against the
 // point's first run — backends and reps must be bit-identical (exit 1
@@ -56,6 +58,47 @@ struct Point {
   }
 };
 
+// Runs one grid point `reps` times, keeping the fastest rep. Every rep
+// must commit the first rep's totals (identity_ok is cleared otherwise).
+Point measure(const std::string& point_name, const core::CoreConfig& cfg,
+              const trace::Trace& t, const std::string& rsim_path, const std::string& backend,
+              int reps, bool& identity_ok) {
+  Point p;
+  p.name = point_name;
+  for (int rep = 0; rep < reps; ++rep) {
+    core::SimResult r;
+    double secs = 0;
+    if (backend == "memory") {
+      trace::VectorTraceSource src(t);
+      core::ReSimEngine eng(cfg, src);
+      const auto t0 = Clock::now();
+      r = eng.run();
+      secs = std::chrono::duration<double>(Clock::now() - t0).count();
+    } else {
+      trace::FileTraceSource src(rsim_path);
+      core::ReSimEngine eng(cfg, src);
+      const auto t0 = Clock::now();
+      r = eng.run();
+      secs = std::chrono::duration<double>(Clock::now() - t0).count();
+    }
+    if (rep == 0) {
+      p.committed = r.committed;
+      p.major_cycles = r.major_cycles;
+      p.secs = secs;
+    } else {
+      if (r.committed != p.committed || r.major_cycles != p.major_cycles) {
+        std::cerr << "DETERMINISM VIOLATION at " << p.name << " rep " << rep << '\n';
+        identity_ok = false;
+      }
+      if (secs < p.secs) p.secs = secs;
+    }
+  }
+  std::cout << std::left << std::setw(30) << p.name << std::right << std::fixed
+            << std::setprecision(3) << std::setw(12) << p.mcycles_per_sec() << std::setw(12)
+            << p.minsts_per_sec() << std::setw(10) << p.ipc() << '\n';
+  return p;
+}
+
 int run(int reps) {
   const std::uint64_t insts = inst_budget();
   bool identity_ok = true;
@@ -63,6 +106,10 @@ int run(int reps) {
   const core::PipelineVariant variants[] = {core::PipelineVariant::kEfficient,
                                             core::PipelineVariant::kOptimized};
   const char* backends[] = {"memory", "stream"};
+  // The ROB axis: gzip, optimized, memory backend, with an LSQ of half
+  // the ROB so the window can fill (at the paper's LSQ of 8, loads and
+  // stores cap a deep window at a few dozen entries).
+  const unsigned rob_sizes[] = {16, 64, 256};
 
   bench::print_header("engine-core throughput: " + std::to_string(insts) +
                       " insts per workload, best of " + std::to_string(reps) +
@@ -92,55 +139,31 @@ int run(int reps) {
       core::CoreConfig cfg = base;
       cfg.variant = variant;
       for (const char* backend : backends) {
-        Point p;
-        p.name = name + "/" + core::variant_name(variant) + "/" + backend;
-        for (int rep = 0; rep < reps; ++rep) {
-          core::SimResult r;
-          double secs = 0;
-          if (std::string(backend) == "memory") {
-            trace::VectorTraceSource src(t);
-            core::ReSimEngine eng(cfg, src);
-            const auto t0 = Clock::now();
-            r = eng.run();
-            secs = std::chrono::duration<double>(Clock::now() - t0).count();
-          } else {
-            trace::FileTraceSource src(rsim_path);
-            core::ReSimEngine eng(cfg, src);
-            const auto t0 = Clock::now();
-            r = eng.run();
-            secs = std::chrono::duration<double>(Clock::now() - t0).count();
-          }
-          if (rep == 0 && points.empty() == false &&
-              points.back().name.rfind(name + "/" + core::variant_name(variant), 0) ==
-                  0) {
-            // Backend identity: same workload+variant must commit the
-            // same totals on every backend.
-            if (points.back().committed != r.committed ||
-                points.back().major_cycles != r.major_cycles) {
-              std::cerr << "IDENTITY VIOLATION at " << p.name << ": " << r.committed
-                        << "/" << r.major_cycles << " vs " << points.back().committed
-                        << "/" << points.back().major_cycles << '\n';
-              identity_ok = false;
-            }
-          }
-          if (rep == 0) {
-            p.committed = r.committed;
-            p.major_cycles = r.major_cycles;
-            p.secs = secs;
-          } else {
-            if (r.committed != p.committed || r.major_cycles != p.major_cycles) {
-              std::cerr << "DETERMINISM VIOLATION at " << p.name << " rep " << rep
-                        << '\n';
-              identity_ok = false;
-            }
-            if (secs < p.secs) p.secs = secs;
-          }
+        const std::string stem = name + "/" + core::variant_name(variant);
+        const Point p =
+            measure(stem + "/" + backend, cfg, t, rsim_path, backend, reps, identity_ok);
+        // Backend identity: same workload+variant must commit the same
+        // totals on every backend.
+        if (!points.empty() && points.back().name.rfind(stem + "/", 0) == 0 &&
+            (points.back().committed != p.committed ||
+             points.back().major_cycles != p.major_cycles)) {
+          std::cerr << "IDENTITY VIOLATION at " << p.name << ": " << p.committed << "/"
+                    << p.major_cycles << " vs " << points.back().committed << "/"
+                    << points.back().major_cycles << '\n';
+          identity_ok = false;
         }
-        std::cout << std::left << std::setw(30) << p.name << std::right << std::fixed
-                  << std::setprecision(3) << std::setw(12) << p.mcycles_per_sec()
-                  << std::setw(12) << p.minsts_per_sec() << std::setw(10) << p.ipc()
-                  << '\n';
         points.push_back(p);
+      }
+    }
+
+    if (name == "gzip") {
+      for (const unsigned rob : rob_sizes) {
+        core::CoreConfig cfg = base;
+        cfg.variant = core::PipelineVariant::kOptimized;
+        cfg.rob_size = rob;
+        cfg.lsq_size = rob / 2;
+        points.push_back(measure(name + "/optimized/memory/rob" + std::to_string(rob), cfg, t,
+                                 rsim_path, "memory", reps, identity_ok));
       }
     }
     std::filesystem::remove(rsim_path);
