@@ -29,7 +29,7 @@ struct CacheConfig {
   std::uint32_t hit_latency = 1;         ///< cycles
   /// Miss service latency. The paper does not give one; FAST's system
   /// (whose L1 geometry Table 1 copies) backs the 32 KB L1s with an L2,
-  /// so the default models an L2-hit-class 8-cycle fill (see DESIGN.md).
+  /// so the default models an L2-hit-class 8-cycle fill (docs/ENGINE.md §3).
   std::uint32_t miss_latency = 8;
   ReplPolicy repl = ReplPolicy::kLru;
   bool write_allocate = true;

@@ -16,7 +16,7 @@ struct MemSysConfig {
   CacheConfig l1i{};            ///< used when !perfect
   CacheConfig l1d{};
   /// Optional explicit unified L2 behind the L1s (extension; by default
-  /// the L1 miss latency models an L2-hit-class fill, DESIGN.md).
+  /// the L1 miss latency models an L2-hit-class fill, docs/ENGINE.md §3).
   bool with_l2 = false;
   CacheConfig l2{};
 

@@ -31,7 +31,7 @@ ReSimEngine::ReSimEngine(const CoreConfig& cfg, trace::TraceSource& source)
   issue_cands_.reserve(cfg_.rob_size);
   wb_due_.reserve(cfg_.rob_size);
   // The first record carries no PC context: PCs are implicit from the
-  // program base until the first branch record resyncs us (DESIGN.md §5).
+  // program base until the first branch record resyncs us (docs/ENGINE.md §1).
   fetch_pc_ = isa::Program::kDefaultBase;
 }
 

@@ -92,7 +92,7 @@ void ReSimEngine::fetch_cycle() {
     }
 
     // Skip stale tagged blocks: the trace generator mispredicted where our
-    // commit-time-trained predictor did not (DESIGN.md §5).
+    // commit-time-trained predictor did not (docs/ENGINE.md §1).
     while (!wrong_path_active_ && fetch_peek() != nullptr && fetch_peek()->wrong_path) {
       (void)fetch_next();
       fstat_.skipped_tagged.add();

@@ -16,7 +16,7 @@
 //              for <= N-1 memory ports.               Latency N+3.
 //
 // The exact lane layout of the figures is reconstructed from the prose
-// constraints (see DESIGN.md §6); `validate()` checks every documented
+// constraints (see docs/ENGINE.md §2); `validate()` checks every documented
 // constraint and the latency formulas are exact.
 #ifndef RESIM_CORE_SCHEDULE_H
 #define RESIM_CORE_SCHEDULE_H
