@@ -160,6 +160,58 @@ TEST(Adversarial, DeepRasOverflowRecovers) {
   EXPECT_GT(r.stats.value("bpred.ras_pops"), 0u);
 }
 
+// Lsq_refresh's disambiguation: a load is decided by the youngest older
+// store whose address is unknown or names the same word. The stores
+// below are an older one whose base waits on a 10-cycle divide and a
+// same-word one whose address and data are ready at once.
+
+struct LoadAccess {
+  Cycle cycle = kNever;    ///< cycle the load's access (or forward) issued
+  bool forwarded = false;  ///< satisfied by a store in the LSQ
+};
+
+LoadAccess first_load_access(std::vector<TraceRecord> recs) {
+  const trace::Trace t = wrap(std::move(recs));
+  trace::VectorTraceSource src(t);
+  auto cfg = CoreConfig::paper_4wide_perfect();
+  cfg.bp = bpred::BPredConfig::perfect();
+  ReSimEngine eng(cfg, src);
+  const auto forwarded = [&eng] { return eng.stats().value("issue.loads_forwarded"); };
+  while (forwarded() + eng.stats().value("issue.load_hits") == 0) {
+    if (!eng.step_major_cycle()) {
+      ADD_FAILURE() << "the load never issued";
+      return {};
+    }
+  }
+  // step_major_cycle() advanced past the cycle that issued the load.
+  return {eng.cycle() - 1, forwarded() != 0};
+}
+
+constexpr Addr kLoadAddr = 0x1000'0000;
+constexpr Addr kOtherAddr = 0x1000'0100;
+constexpr Reg kSlowBase = 5;  // written by the divide
+
+TEST(LsqRefresh, YoungerMatchingStoreForwardsPastOlderUnknownAddress) {
+  const LoadAccess a = first_load_access({
+      TraceRecord::other(OtherFu::kDiv, kSlowBase, kZeroReg, kZeroReg),
+      TraceRecord::mem(true, kOtherAddr, kNoReg, kSlowBase, kZeroReg),  // address unknown
+      TraceRecord::mem(true, kLoadAddr, kNoReg, kZeroReg, kZeroReg),    // same word, done
+      TraceRecord::mem(false, kLoadAddr, 6, kZeroReg, kNoReg),
+  });
+  EXPECT_TRUE(a.forwarded);
+  EXPECT_LT(a.cycle, 10u) << "the load must not wait for the older store's divide";
+}
+
+TEST(LsqRefresh, YoungerUnknownAddressBlocksPastOlderMatchingStore) {
+  const LoadAccess a = first_load_access({
+      TraceRecord::other(OtherFu::kDiv, kSlowBase, kZeroReg, kZeroReg),
+      TraceRecord::mem(true, kLoadAddr, kNoReg, kZeroReg, kZeroReg),    // same word, done
+      TraceRecord::mem(true, kOtherAddr, kNoReg, kSlowBase, kZeroReg),  // address unknown
+      TraceRecord::mem(false, kLoadAddr, 6, kZeroReg, kNoReg),
+  });
+  EXPECT_GE(a.cycle, 10u) << "the load must wait until the younger store's address is known";
+}
+
 class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineFuzz, RandomTraceStreamsNeverHang) {

@@ -53,16 +53,31 @@ TEST(Rob, WrapAroundReusesSlots) {
   }
 }
 
+TEST(Rob, AgeOfInvertsSlotAtAcrossWraparound) {
+  // A capacity that is not a power of two, with the head walked all the
+  // way round the ring: age_of(slot_at(i)) == i at every head position.
+  Rob rob(3);
+  for (int round = 0; round < 7; ++round) {
+    while (!rob.full()) rob.allocate();
+    for (unsigned i = 0; i < rob.size(); ++i) EXPECT_EQ(rob.age_of(rob.slot_at(i)), i);
+    EXPECT_THROW((void)rob.slot_at(rob.size()), std::out_of_range);
+    rob.pop_head();
+  }
+}
+
 TEST(Rob, AllocateResetsEntryState) {
-  Rob rob(2);
-  int s = rob.allocate();
-  rob.entry(s).issued = true;
-  rob.entry(s).completed = true;
+  Rob rob(1);  // one slot, so the second allocation reuses the first's
+  const int first = rob.allocate();
+  rob.entry(first).issued = true;
+  rob.entry(first).completed = true;
+  rob.entry(first).dep_head = 3;
   rob.pop_head();
-  s = rob.allocate();
+  const int s = rob.allocate();
+  ASSERT_EQ(s, first);
   EXPECT_FALSE(rob.entry(s).issued);
   EXPECT_FALSE(rob.entry(s).completed);
   EXPECT_EQ(rob.entry(s).src_pending, 0u);
+  EXPECT_EQ(rob.entry(s).dep_head, -1);  // a reused slot starts with no dependents
 }
 
 TEST(Rob, ClearEmptiesWindow) {
