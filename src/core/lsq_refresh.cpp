@@ -33,8 +33,9 @@ void ReSimEngine::stage_lsq_refresh() {
     if (m.is_store) {
       // A store is commit-ready once its address is generated *and* its
       // data register has resolved (STA/STD split).
+      if (m.store_done || !m.addr_ready(cycle_)) continue;
       RobEntry& e = rob_.entry(m.rob_slot);
-      if (!m.store_done && m.addr_ready(cycle_) && e.src_rob[1] < 0) {
+      if (e.src_rob[1] < 0) {
         m.store_done = true;
         // Stores produce no register value: completion bypasses the
         // writeback broadcast and the entry waits for Commit.
