@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,21 +67,16 @@ Point measure(const std::string& point_name, const core::CoreConfig& cfg,
   Point p;
   p.name = point_name;
   for (int rep = 0; rep < reps; ++rep) {
-    core::SimResult r;
-    double secs = 0;
+    std::unique_ptr<trace::TraceSource> src;
     if (backend == "memory") {
-      trace::VectorTraceSource src(t);
-      core::ReSimEngine eng(cfg, src);
-      const auto t0 = Clock::now();
-      r = eng.run();
-      secs = std::chrono::duration<double>(Clock::now() - t0).count();
+      src = std::make_unique<trace::VectorTraceSource>(t);
     } else {
-      trace::FileTraceSource src(rsim_path);
-      core::ReSimEngine eng(cfg, src);
-      const auto t0 = Clock::now();
-      r = eng.run();
-      secs = std::chrono::duration<double>(Clock::now() - t0).count();
+      src = std::make_unique<trace::FileTraceSource>(rsim_path);
     }
+    core::ReSimEngine eng(cfg, *src);
+    const auto t0 = Clock::now();
+    const core::SimResult r = eng.run();
+    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
     if (rep == 0) {
       p.committed = r.committed;
       p.major_cycles = r.major_cycles;
