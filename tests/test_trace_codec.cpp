@@ -4,11 +4,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "trace/batch_cache.hpp"
+#include "trace/file_source.hpp"
 #include "trace/format.hpp"
+#include "trace/mmap_source.hpp"
 #include "trace/reader.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -214,14 +218,50 @@ Trace small_trace(std::uint64_t seed, int n) {
   return t;
 }
 
+/// True when `path` starts like a container v1 (version field == 1).
+bool is_v1(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  unsigned char b[8] = {};
+  f.read(reinterpret_cast<char*>(b), sizeof b);
+  return f && b[4] == 1 && b[5] == 0 && b[6] == 0 && b[7] == 0;
+}
+
+/// Drains `src` to the end of the stream.
+void drain(TraceSource& src) {
+  while (src.peek() != nullptr) (void)src.next();
+}
+
 /// load_trace must throw and the message must name the offending field.
+/// Every other container reader must then reject the same file with the
+/// very same message: the mapped reader, and a SharedBatchCache cursor
+/// (which refuses a v1 container with std::invalid_argument instead, as
+/// it has no chunk index to share).
 void expect_rejected(const std::string& path, const std::string& field) {
+  std::string want;
   try {
     (void)load_trace(path);
-    FAIL() << "expected load_trace to reject " << path;
+    ADD_FAILURE() << "expected load_trace to reject " << path;
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-        << "message was: " << e.what();
+    want = e.what();
+    EXPECT_NE(want.find(field), std::string::npos) << "message was: " << want;
+  }
+  if (!want.empty()) {
+    try {
+      MmapTraceSource src(path);
+      drain(src);
+      ADD_FAILURE() << "expected the mapped reader to reject " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), want) << "mapped reader";
+    }
+    try {
+      BatchTraceSource src(std::make_shared<SharedBatchCache>(path));
+      drain(src);
+      ADD_FAILURE() << "expected the shared cache to reject " << path;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(is_v1(path)) << "shared cache refused a non-v1 file: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), want) << "shared cache";
+    }
   }
   std::remove(path.c_str());
 }

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -607,6 +609,149 @@ TEST(TraceWindow, CompressedMmapWindowedSimBitIdentical) {
   EXPECT_EQ(rm.trace_bits, rv.trace_bits);
   EXPECT_EQ(mbase.chunks_skipped(), 4u);
   std::remove(path.c_str());
+}
+
+// ---- cross-reader differential ---------------------------------------------
+//
+// One seeded random sequence of peek / next / skip / rewind / view
+// consumption drives every container reader in lockstep — read mode,
+// mapped mode and a shared-cache cursor — over v1-v4 containers with
+// small chunks, so skips land mid-chunk, on chunk edges and past the
+// end, and rewinds hit every state. After every step all readers must
+// agree on the records handed out and on every counter.
+
+/// A reader under test, with its non-virtual API bound so one op
+/// sequence can drive every reader alike.
+struct DiffReader {
+  std::string name;
+  std::unique_ptr<TraceSource> src;
+  std::function<void()> rewind;
+  std::function<std::uint64_t()> chunks_skipped;
+};
+
+template <typename T>
+DiffReader diff_reader(std::string name, std::unique_ptr<T> p) {
+  T* raw = p.get();
+  return {std::move(name), std::move(p), [raw] { raw->rewind(); },
+          [raw] { return raw->chunks_skipped(); }};
+}
+
+/// Consumes up to `n` records: through fetch_view()/consume_view() where
+/// the reader offers a view, through peek()/next() where it does not.
+std::vector<TraceRecord> take(TraceSource& src, std::uint64_t n) {
+  std::vector<TraceRecord> out;
+  while (out.size() < n) {
+    const BatchView v = src.fetch_view();
+    if (v.empty()) {
+      if (src.peek() == nullptr) break;
+      out.push_back(src.next());
+      continue;
+    }
+    const std::size_t k =
+        static_cast<std::size_t>(std::min<std::uint64_t>(v.count, n - out.size()));
+    for (std::size_t i = 0; i < k; ++i) {
+      TraceRecord r;
+      v.batch->get(v.first + i, r);
+      out.push_back(r);
+    }
+    src.consume_view(k);
+  }
+  return out;
+}
+
+TEST(CrossReader, RandomOpSequencesAgreeOnEveryContainerVersion) {
+  constexpr std::uint32_t kChunk = 64;
+  const Trace t = generate("gzip", 3000);
+  const std::uint64_t total = t.records.size();
+  Rng rng(0x5EEDF00D);
+  for (const std::uint32_t version : {kContainerV1, kContainerV2, kContainerV3, kContainerV4}) {
+    const std::string path = temp_path("diff_v" + std::to_string(version) + ".rsim");
+    if (version == kContainerV1) {
+      testutil::write_v1(path, t, total);
+    } else {
+      save_trace(t, path, kChunk, /*compress=*/version >= kContainerV3,
+                 /*prefilter=*/version == kContainerV4);
+    }
+    std::vector<DiffReader> readers;
+    readers.push_back(diff_reader("read", std::make_unique<FileTraceSource>(path)));
+    readers.push_back(diff_reader("mapped", std::make_unique<MmapTraceSource>(path)));
+    if (version != kContainerV1) {  // the shared cache indexes chunks; v1 has none
+      readers.push_back(diff_reader(
+          "cache", std::make_unique<BatchTraceSource>(std::make_shared<SharedBatchCache>(path))));
+    }
+
+    bool hit_end = false;
+    bool mid_rewind = false;
+    std::uint64_t max_chunks_skipped = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.below(10);
+      const std::uint64_t pos = readers[0].src->records_consumed();
+      hit_end = hit_end || pos == total;
+      mid_rewind = mid_rewind || (op == 7 && pos % kChunk != 0 && pos < total);
+      std::vector<std::vector<TraceRecord>> got(readers.size());
+      std::vector<std::uint64_t> skipped(readers.size(), 0);
+      const std::uint64_t n = rng.chance(1, 16) ? total + 1 : rng.below(3 * kChunk + 1);
+      for (std::size_t i = 0; i < readers.size(); ++i) {
+        TraceSource& src = *readers[i].src;
+        switch (op) {
+          case 0:
+          case 1:  // peek
+            if (const TraceRecord* r = src.peek()) got[i].push_back(*r);
+            break;
+          case 2:
+          case 3:  // a run of next() calls
+            for (std::uint64_t k = 0; k < n % kChunk && src.peek() != nullptr; ++k) {
+              got[i].push_back(src.next());
+            }
+            break;
+          case 4:
+          case 5:
+          case 6:
+            skipped[i] = src.skip(n);
+            break;
+          case 7:
+            readers[i].rewind();
+            break;
+          default:  // views where offered
+            got[i] = take(src, n);
+            break;
+        }
+      }
+
+      const std::string where = "v" + std::to_string(version) + " step " +
+                                std::to_string(step) + " op " + std::to_string(op);
+      // Records are exactly the trace's, from where the op started.
+      for (std::size_t k = 0; k < got[0].size(); ++k) {
+        ASSERT_LT(pos + k, total) << where;
+        ASSERT_TRUE(records_equal(got[0][k], t.records[pos + k])) << where << " record " << k;
+      }
+      if (op == 0 || op == 1) {
+        EXPECT_EQ(got[0].empty(), pos == total) << where;
+      }
+      for (std::size_t i = 1; i < readers.size(); ++i) {
+        const std::string who = where + " reader " + readers[i].name;
+        ASSERT_EQ(got[i].size(), got[0].size()) << who;
+        for (std::size_t k = 0; k < got[0].size(); ++k) {
+          ASSERT_TRUE(records_equal(got[i][k], got[0][k])) << who << " record " << k;
+        }
+        ASSERT_EQ(skipped[i], skipped[0]) << who;
+        ASSERT_EQ(readers[i].src->records_consumed(), readers[0].src->records_consumed()) << who;
+        ASSERT_EQ(readers[i].src->bits_consumed(), readers[0].src->bits_consumed()) << who;
+        ASSERT_EQ(readers[i].chunks_skipped(), readers[0].chunks_skipped()) << who;
+      }
+      max_chunks_skipped = std::max(max_chunks_skipped, readers[0].chunks_skipped());
+    }
+    // The sequence must have reached the states it exists to compare:
+    // the end of the trace, a rewind from mid-stream, and (v2+) the
+    // chunk-skipping seek.
+    EXPECT_TRUE(hit_end) << "v" << version;
+    EXPECT_TRUE(mid_rewind) << "v" << version;
+    if (version != kContainerV1) {
+      EXPECT_GT(max_chunks_skipped, 0u) << "v" << version;
+    }
+    readers.clear();
+    std::remove(path.c_str());
+  }
 }
 
 // ---- compression ratio on suite workloads ---------------------------------
