@@ -35,7 +35,6 @@
 #include "bench_util.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
-#include "trace/mmap_source.hpp"
 #include "trace/writer.hpp"
 
 namespace resim::bench {

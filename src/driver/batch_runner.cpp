@@ -21,7 +21,6 @@
 #include "driver/sampling.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
-#include "trace/mmap_source.hpp"
 #include "trace/reader.hpp"
 #include "workload/suite.hpp"
 
@@ -57,16 +56,14 @@ void use_streamed_sources(std::vector<SimJob>& jobs, const std::string& tag) {
   }
 }
 
-namespace {
-
-/// Opens an on-disk .rsim through the requested file-reading backend.
-std::unique_ptr<trace::TraceSource> open_backend(const std::string& path,
-                                                 core::TraceBackend backend) {
-  if (backend == core::TraceBackend::kMmap) {
-    return std::make_unique<trace::MmapTraceSource>(path);
-  }
-  return std::make_unique<trace::FileTraceSource>(path);
+std::unique_ptr<trace::FileTraceSource> open_trace_file(const std::string& path,
+                                                        core::TraceBackend backend) {
+  return std::make_unique<trace::FileTraceSource>(
+      path, backend == core::TraceBackend::kMmap ? trace::ByteMode::kMapped
+                                                 : trace::ByteMode::kRead);
 }
+
+namespace {
 
 /// Worker-private temp .rsim path: pid + a process-wide counter, so
 /// concurrent processes and worker threads never collide.
@@ -91,7 +88,7 @@ std::unique_ptr<trace::TraceSource> roundtrip_source(const trace::Trace& t,
   const std::string path = private_temp_path();
   trace::save_trace(t, path);
   try {
-    auto src = open_backend(path, backend);
+    auto src = open_trace_file(path, backend);
     std::remove(path.c_str());  // the open stream / mapping keeps the inode alive
     return src;
   } catch (...) {
@@ -205,7 +202,7 @@ JobResult run_one_with_share(const SimJob& job, GroupShare& g) {
     out.result = run_engine(job.config, src);
   } else {
     const std::unique_ptr<trace::TraceSource> src =
-        open_backend(g.src_path, job.config.trace_backend);
+        open_trace_file(g.src_path, job.config.trace_backend);
     out.result = run_engine(job.config, *src);
   }
   return out;
@@ -302,7 +299,7 @@ TraceSourceFactory backend_gen_source(std::string workload, trace::TraceGenConfi
         trace::TraceGenerator(workload::make_workload(workload), gen).generate();
     trace::save_trace(t, path);
     try {
-      auto src = open_backend(path, backend);
+      auto src = open_trace_file(path, backend);
       std::remove(path.c_str());  // the open stream keeps the inode alive
       return src;
     } catch (...) {
@@ -340,7 +337,7 @@ JobResult BatchRunner::run_one(const SimJob& job) {
       out.result = run_engine(job.config, src);
     } else {
       const std::unique_ptr<trace::TraceSource> src =
-          open_backend(job.trace_path, backend);
+          open_trace_file(job.trace_path, backend);
       out.result = run_engine(job.config, *src);
     }
   } else if (job.trace) {

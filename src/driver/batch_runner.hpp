@@ -22,6 +22,7 @@
 
 #include "core/config.hpp"
 #include "core/engine.hpp"
+#include "trace/file_source.hpp"
 #include "trace/reader.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -34,10 +35,17 @@ namespace resim::driver {
 /// instead of every worker sharing one giant decoded vector.
 using TraceSourceFactory = std::function<std::unique_ptr<trace::TraceSource>()>;
 
+/// Opens an on-disk .rsim for a file-reading trace.backend: one
+/// trace::FileTraceSource, mapped for kMmap and read() for kStream. The
+/// only place a backend picks a reader mode (a kMemory caller decodes
+/// the file up front instead and never gets here).
+[[nodiscard]] std::unique_ptr<trace::FileTraceSource> open_trace_file(
+    const std::string& path, core::TraceBackend backend);
+
 /// Factory that generates `workload`'s trace with `gen`, round-trips it
 /// through a private .rsim file at `path`, and reads it back through
 /// `backend` (kStream: constant-memory trace::FileTraceSource; kMmap:
-/// in-place trace::MmapTraceSource; kMemory is rejected — a memory job
+/// the same reader over a mapping; kMemory is rejected — a memory job
 /// needs no file round trip). The file is unlinked as soon as the
 /// source opens (the open stream / mapping keeps the inode alive on
 /// POSIX), so disk usage is bounded by the jobs in flight.

@@ -123,6 +123,12 @@ struct SampledResult {
                                         const SamplingPlan& plan,
                                         core::IntervalRecorder* intervals = nullptr);
 
+/// Why a single skip/warm-up/cap window cannot be combined with sampled
+/// execution: `resim_cli sim` and a served sim request reject it alike.
+inline constexpr const char* kWindowedSamplingError =
+    "--skip/--warmup/--max-records describe one window; sampled execution "
+    "(sample.windows > 0 or --plan) places its own windows";
+
 /// The one engine entry point for drivers: a full detailed run when
 /// cfg.sample.windows == 0 (byte-identical to pre-sampling behavior),
 /// otherwise a sampled run returning the pooled engine result. This is

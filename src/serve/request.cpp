@@ -7,6 +7,7 @@
 
 #include "driver/batch_runner.hpp"
 #include "driver/result_export.hpp"
+#include "driver/sampling.hpp"
 #include "driver/sweep_grid.hpp"
 #include "resim/resim.hpp"
 
@@ -136,6 +137,10 @@ SimRequest parse_sim_request(const JsonValue& v) {
     bad("member 'max_records' caps the total window (warm-up included) and "
         "must be >= 'warmup'");
   }
+  if (req.config.sample.windows > 0 &&
+      (req.skip != 0 || req.warmup != 0 || req.max_records.has_value())) {
+    bad(driver::kWindowedSamplingError);
+  }
   return req;
 }
 
@@ -184,42 +189,35 @@ void run_sim(const SimRequest& req, SharedTraceCache& traces, const Sink& sink) 
   // instead of re-decoding per request.
   std::shared_ptr<const trace::Trace> shared;
   std::optional<trace::VectorTraceSource> vec;
-  std::optional<trace::FileTraceSource> file;
-  std::optional<trace::MmapTraceSource> mapped;
+  std::unique_ptr<trace::FileTraceSource> file;
   std::string name;
   trace::TraceSource* base = nullptr;
-  switch (cfg.trace_backend) {
-    case core::TraceBackend::kStream:
-      file.emplace(req.trace_path);
-      name = file->trace_name();
-      base = &*file;
-      break;
-    case core::TraceBackend::kMmap:
-      mapped.emplace(req.trace_path);
-      name = mapped->trace_name();
-      base = &*mapped;
-      break;
-    case core::TraceBackend::kMemory:
-      shared = traces.get(req.trace_path);
-      name = shared->name;
-      vec.emplace(*shared);
-      base = &*vec;
-      break;
+  if (cfg.trace_backend == core::TraceBackend::kMemory) {
+    shared = traces.get(req.trace_path);
+    name = shared->name;
+    vec.emplace(*shared);
+    base = &*vec;
+  } else {
+    file = driver::open_trace_file(req.trace_path, cfg.trace_backend);
+    name = file->trace_name();
+    base = file.get();
   }
 
-  const bool windowed = req.skip != 0 || req.warmup != 0 || req.max_records.has_value();
-  const std::uint64_t simulate =
-      req.max_records ? *req.max_records - req.warmup : trace::TraceWindow::kAll;
-  std::optional<trace::TraceWindow> win;
-  if (windowed) win.emplace(*base, req.skip, req.warmup, simulate);
+  // The same single region as `sim --skip/--warmup/--max-records`.
+  std::optional<trace::SegmentedTraceSource> win;
+  if (req.skip != 0 || req.warmup != 0 || req.max_records.has_value()) {
+    win.emplace(*base);
+    (void)win->skip_gap(req.skip);
+    win->open_segment(req.max_records.value_or(trace::SegmentedTraceSource::kAll));
+  }
   trace::TraceSource& src = win ? static_cast<trace::TraceSource&>(*win) : *base;
 
-  core::ReSimEngine eng(cfg, src);
+  // run_engine, like the CLI and sweeps: sample.* settings take effect.
   driver::JobResult jr;
   jr.label = name;
   jr.workload = name;
   jr.config = cfg;
-  jr.result = eng.run();
+  jr.result = driver::run_engine(cfg, src);
   sink(driver::result_json(jr) + '\n');
 }
 

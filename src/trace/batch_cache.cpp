@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/bitstream.hpp"
 
 namespace resim::trace {
 
@@ -19,44 +18,34 @@ constexpr std::uint64_t kNoPosition = std::numeric_limits<std::uint64_t>::max();
 
 SharedBatchCache::SharedBatchCache(std::string path, std::size_t expected_consumers,
                                    std::size_t capacity)
-    : path_(std::move(path)),
+    : file_(std::move(path), ByteMode::kRead, "SharedBatchCache"),
+      dec_(file_.path()),
       expected_(expected_consumers == 0 ? 1 : expected_consumers),
       capacity_(capacity == 0 ? 1 : capacity),
       decoded_ctr_(stats_.counter("cache.chunks_decoded")),
       hits_ctr_(stats_.counter("cache.hits")),
       evictions_ctr_(stats_.counter("cache.evictions")) {
-  is_.open(path_, std::ios::binary);
-  if (!is_) throw std::runtime_error("SharedBatchCache: cannot open " + path_);
-  is_.seekg(0, std::ios::end);
-  file_size_ = static_cast<std::uint64_t>(is_.tellg());
-  is_.seekg(0, std::ios::beg);
-  hdr_ = read_container_header(is_, file_size_, path_);
-  if (hdr_.version == kContainerV1) {
+  const ContainerHeader& hdr = file_.header();
+  if (hdr.version == kContainerV1) {
     throw std::invalid_argument("SharedBatchCache: container v1 has no chunk index in " +
-                                path_ + "; use a private source");
+                                file_.path() + "; use a private source");
   }
 
   // Scan the chunk directory once: every header is validated exactly as
   // a private source would, but payloads are seeked past unread.
-  chunks_.reserve(hdr_.chunk_count);
+  chunks_.reserve(hdr.chunk_count);
+  std::uint64_t off = hdr.payload_start;
   std::uint64_t first = 0;
-  for (std::uint32_t i = 0; i < hdr_.chunk_count; ++i) {
-    const ChunkHeader ch =
-        read_chunk_header(is_, hdr_, hdr_.record_count - first, file_size_, path_);
-    ChunkInfo info;
-    info.payload_offset = static_cast<std::uint64_t>(is_.tellg());
-    info.first_record = first;
-    info.record_count = ch.record_count;
-    info.flags = ch.flags;
-    info.raw_bytes = ch.raw_bytes;
-    info.payload_bytes = ch.payload_bytes;
-    chunks_.push_back(info);
+  for (std::uint32_t i = 0; i < hdr.chunk_count; ++i) {
+    const ChunkHeader ch = file_.chunk_header(off, hdr.record_count - first);
+    off += chunk_header_bytes(hdr.version);
+    chunks_.push_back(ChunkInfo{off, first, ch});
     first += ch.record_count;
-    is_.seekg(static_cast<std::streamoff>(ch.payload_bytes), std::ios::cur);
-    if (!is_) throw std::runtime_error("load_trace: truncated chunk in " + path_);
+    off += ch.payload_bytes;
   }
-  if (static_cast<std::uint64_t>(is_.tellg()) != file_size_) {
-    throw std::runtime_error("load_trace: trailing garbage after last chunk in " + path_);
+  if (off != file_.size()) {
+    throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
+                             file_.path());
   }
 }
 
@@ -184,33 +173,9 @@ std::shared_ptr<const RecordBatch> SharedBatchCache::acquire(std::size_t chunk_i
 
 std::shared_ptr<const RecordBatch> SharedBatchCache::decode_chunk(std::size_t idx) {
   const ChunkInfo& info = chunks_[idx];
-  ChunkHeader ch;
-  ch.record_count = info.record_count;
-  ch.flags = info.flags;
-  ch.raw_bytes = info.raw_bytes;
-  ch.payload_bytes = info.payload_bytes;
-
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(info.payload_offset));
-  encoded_.resize(ch.payload_bytes);
-  is_.read(reinterpret_cast<char*>(encoded_.data()),
-           static_cast<std::streamsize>(encoded_.size()));
-  if (!is_) throw std::runtime_error("load_trace: truncated chunk in " + path_);
-
-  BitReader br(chunk_raw_payload(encoded_, ch, idx, raw_, path_));
-  recs_.clear();
-  recs_.reserve(ch.record_count);
-  decode_records(br, ch.record_count, info.first_record, recs_, "load_trace",
-                 " in " + path_);
-  if (br.bits_remaining() >= 8) {
-    throw std::runtime_error("load_trace: trailing garbage in chunk " +
-                             std::to_string(idx) + " of " + path_);
-  }
-  if (ch.delta_filtered()) {
-    // v4: invert the delta pre-filter; its state is chunk-local.
-    DeltaCodec delta;
-    for (auto& r : recs_) delta.unfilter(r);
-  }
+  dec_.open(file_.bytes(info.payload_offset, info.header.payload_bytes, encoded_), info.header,
+            idx, info.first_record);
+  dec_.decode(info.header.record_count, recs_);
 
   auto batch = std::make_shared<RecordBatch>();
   batch->reserve(recs_.size());
@@ -310,14 +275,14 @@ std::uint64_t BatchTraceSource::skip(std::uint64_t n) {
   }
   // Whole chunks inside the remaining skip region hop through the chunk
   // directory without acquiring — the same frame-granular accounting as
-  // skip_whole_chunks (consumed counts records, bits counts
+  // FileTraceSource::skip (consumed counts records, bits counts
   // raw_bytes * 8).
   while (chunk_ < cache_->chunk_count() &&
-         n - done >= cache_->chunk(chunk_).record_count) {
-    const SharedBatchCache::ChunkInfo& info = cache_->chunk(chunk_);
-    done += info.record_count;
-    consumed_ += info.record_count;
-    bits_ += std::uint64_t{info.raw_bytes} * 8;
+         n - done >= cache_->chunk(chunk_).header.record_count) {
+    const ChunkHeader& ch = cache_->chunk(chunk_).header;
+    done += ch.record_count;
+    consumed_ += ch.record_count;
+    bits_ += std::uint64_t{ch.raw_bytes} * 8;
     ++chunks_skipped_;
     ++chunk_;
   }

@@ -42,7 +42,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,6 +51,7 @@
 #include "common/stats.hpp"
 #include "trace/batch.hpp"
 #include "trace/container.hpp"
+#include "trace/file_source.hpp"
 #include "trace/reader.hpp"
 
 namespace resim::trace {
@@ -78,15 +78,12 @@ class SharedBatchCache {
   struct ChunkInfo {
     std::uint64_t payload_offset = 0;  ///< file offset just past the chunk header
     std::uint64_t first_record = 0;    ///< global index of the chunk's first record
-    std::uint32_t record_count = 0;
-    std::uint32_t flags = 0;
-    std::uint32_t raw_bytes = 0;
-    std::uint32_t payload_bytes = 0;
+    ChunkHeader header;
   };
 
   // --- immutable container metadata ----------------------------------------
-  [[nodiscard]] const ContainerHeader& header() const { return hdr_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] const ContainerHeader& header() const { return file_.header(); }
+  [[nodiscard]] const std::string& path() const { return file_.path(); }
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
   [[nodiscard]] const ChunkInfo& chunk(std::size_t idx) const { return chunks_[idx]; }
 
@@ -121,7 +118,7 @@ class SharedBatchCache {
     std::uint64_t last_use = 0;
   };
 
-  /// Decodes chunk `idx` into a fresh batch. Touches is_/encoded_/raw_/
+  /// Decodes chunk `idx` into a fresh batch. Touches file_/dec_/encoded_/
   /// recs_, so the caller must hold the producer role (producing_ set
   /// by this thread) — NOT the mutex; decode runs unlocked.
   [[nodiscard]] std::shared_ptr<const RecordBatch> decode_chunk(std::size_t idx);
@@ -131,9 +128,12 @@ class SharedBatchCache {
   [[nodiscard]] bool eviction_candidate_locked(std::uint64_t* victim) const;
   bool try_evict_locked();
 
-  std::string path_;
-  std::uint64_t file_size_ = 0;
-  ContainerHeader hdr_;
+  // The file and its decoder: header() and the chunk directory are
+  // immutable after construction; reads and decodes are producer-only
+  // (guarded by producing_, not mu_: the flag's mutex-protected handoff
+  // orders access between successive producers).
+  ContainerFile file_;
+  ChunkDecoder dec_;
   std::vector<ChunkInfo> chunks_;
   std::size_t expected_;
   std::size_t capacity_;
@@ -144,14 +144,11 @@ class SharedBatchCache {
   std::map<std::size_t, std::uint64_t> positions_; ///< consumer id -> chunk position
   std::size_t next_id_ = 0;
   std::size_t started_ = 0;   ///< consumers ever registered (gates eviction)
-  bool producing_ = false;    ///< a consumer is decoding (owns is_ and scratch)
+  bool producing_ = false;    ///< a consumer is decoding (owns file_ and scratch)
   std::uint64_t use_clock_ = 0;
 
-  // Producer-only state (guarded by producing_, not mu_: the flag's
-  // mutex-protected handoff orders access between successive producers).
-  std::ifstream is_;
+  // Producer-only scratch, like file_ and dec_.
   std::vector<std::uint8_t> encoded_;  ///< chunk payload as stored
-  std::vector<std::uint8_t> raw_;      ///< decompression scratch (reused)
   std::vector<TraceRecord> recs_;      ///< decode scratch (reused)
 
   // Handle-based stats plane: resolved once here, bumped under mu_.

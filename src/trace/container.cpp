@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 
@@ -17,24 +16,62 @@ namespace {
   throw std::runtime_error("load_trace: " + what + " in " + path);
 }
 
-}  // namespace
+/// Bounds-checked little-endian reads over bytes that start at file
+/// offset `base`; a read past the end throws "truncated field <field>".
+class Cursor {
+ public:
+  Cursor(std::span<const std::uint8_t> bytes, std::uint64_t base)
+      : bytes_(bytes), base_(base) {}
 
-void StreamByteSource::read(void* dst, std::size_t n, const char* field) {
-  is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
-  if (!is_) throw std::runtime_error(std::string("load_trace: truncated field ") + field);
-}
-
-std::uint64_t StreamByteSource::pos() const { return static_cast<std::uint64_t>(is_.tellg()); }
-
-void SpanByteSource::read(void* dst, std::size_t n, const char* field) {
-  // offset_ may sit past the end after an advance() over lying framing;
-  // order the comparison so it cannot underflow.
-  if (offset_ > data_.size() || n > data_.size() - offset_) {
-    throw std::runtime_error(std::string("load_trace: truncated field ") + field);
+  void read(void* dst, std::size_t n, const char* field) {
+    if (n > bytes_.size() - at_) {
+      throw std::runtime_error(std::string("load_trace: truncated field ") + field);
+    }
+    if (n != 0) std::memcpy(dst, bytes_.data() + at_, n);
+    at_ += n;
   }
-  std::memcpy(dst, data_.data() + offset_, n);
-  offset_ += n;
+
+  std::uint32_t u32(const char* field) { return static_cast<std::uint32_t>(le(4, field)); }
+  std::uint64_t u64(const char* field) { return le(8, field); }
+
+  /// File offset of the next unread byte.
+  [[nodiscard]] std::uint64_t pos() const { return base_ + at_; }
+
+ private:
+  std::uint64_t le(unsigned n, const char* field) {
+    std::array<unsigned char, 8> b{};
+    read(b.data(), n, field);
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+    return v;
+  }
+
+  std::span<const std::uint8_t> bytes_;
+  std::uint64_t base_;
+  std::size_t at_ = 0;
+};
+
+/// The bit-packed bytes of a chunk: `stored` itself for a raw chunk, or
+/// `stored` LZ-expanded into `scratch` (resized to ch.raw_bytes). LZ
+/// corruption is converted to the container's std::runtime_error
+/// contract naming chunk `chunk_index`.
+std::span<const std::uint8_t> chunk_raw_payload(std::span<const std::uint8_t> stored,
+                                                const ChunkHeader& ch,
+                                                std::uint64_t chunk_index,
+                                                std::vector<std::uint8_t>& scratch,
+                                                const std::string& path) {
+  if (!ch.compressed()) return stored;
+  scratch.resize(ch.raw_bytes);
+  try {
+    lz::decompress(stored, scratch);
+  } catch (const std::runtime_error& e) {
+    fail(path, "corrupt compressed payload in chunk " + std::to_string(chunk_index) +
+                   " (" + e.what() + ")");
+  }
+  return scratch;
 }
+
+}  // namespace
 
 void write_u32le(std::ostream& os, std::uint32_t v) {
   std::array<char, 4> b;
@@ -46,32 +83,6 @@ void write_u64le(std::ostream& os, std::uint64_t v) {
   std::array<char, 8> b;
   for (unsigned i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   os.write(b.data(), b.size());
-}
-
-std::uint32_t read_u32le(ByteSource& src, const char* field) {
-  std::array<unsigned char, 4> b;
-  src.read(b.data(), b.size(), field);
-  std::uint32_t v = 0;
-  for (unsigned i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64le(ByteSource& src, const char* field) {
-  std::array<unsigned char, 8> b;
-  src.read(b.data(), b.size(), field);
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint32_t read_u32le(std::istream& is, const char* field) {
-  StreamByteSource src(is);
-  return read_u32le(src, field);
-}
-
-std::uint64_t read_u64le(std::istream& is, const char* field) {
-  StreamByteSource src(is);
-  return read_u64le(src, field);
 }
 
 void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_index,
@@ -87,32 +98,43 @@ void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_inde
   }
 }
 
-std::uint64_t skip_whole_chunks(ByteSource& src, const ContainerHeader& hdr,
-                                std::uint64_t want, std::uint64_t file_size,
-                                const std::string& path,
-                                const std::function<void(const ChunkHeader&)>& hop,
-                                ChunkProgress& prog, std::uint64_t& consumed,
-                                std::uint64_t& bits) {
-  std::uint64_t done = 0;
-  while (done < want && prog.next_record < hdr.record_count) {
-    const std::uint64_t remaining = hdr.record_count - prog.next_record;
-    const std::uint64_t chunk_records =
-        remaining < hdr.chunk_records ? remaining : hdr.chunk_records;
-    if (want - done < chunk_records) break;  // partial chunk: caller decodes
-    const ChunkHeader ch = read_chunk_header(src, hdr, remaining, file_size, path);
-    hop(ch);
-    prog.next_record += ch.record_count;
-    consumed += ch.record_count;
-    bits += std::uint64_t{ch.raw_bytes} * 8;
-    done += ch.record_count;
-    ++prog.chunks_read;
-    ++prog.chunks_skipped;
-    if (prog.chunks_read == hdr.chunk_count && src.pos() != file_size) {
-      throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                               path);
-    }
+void ChunkDecoder::open(std::span<const std::uint8_t> stored, const ChunkHeader& ch,
+                        std::uint64_t chunk_index, std::uint64_t first_record) {
+  br_.emplace(chunk_raw_payload(stored, ch, chunk_index, scratch_, path_));
+  delta_ = DeltaCodec{};  // the v4 filter state is chunk-local
+  delta_on_ = ch.delta_filtered();
+  left_ = ch.record_count;
+  next_record_ = first_record;
+  chunk_index_ = chunk_index;
+}
+
+void ChunkDecoder::open_v1(std::span<const std::uint8_t> payload, std::uint64_t records) {
+  br_.emplace(payload);
+  delta_on_ = false;
+  left_ = records;
+  next_record_ = 0;
+  chunk_index_ = kWholePayload;
+}
+
+void ChunkDecoder::decode(std::uint64_t n, std::vector<TraceRecord>& out) {
+  out.clear();
+  out.reserve(n);  // no-op once the buffer has held a chunk: capacity is reused
+  decode_records(*br_, n, next_record_, out, "load_trace", suffix_);
+  next_record_ += n;
+  left_ -= n;
+  if (left_ == 0 && br_->bits_remaining() >= 8) {
+    // Only byte-alignment padding may follow the last record; a whole
+    // spare byte means the framing lies about the record count.
+    throw std::runtime_error(
+        chunk_index_ == kWholePayload
+            ? "load_trace: trailing garbage after record " + std::to_string(next_record_) +
+                  suffix_
+            : "load_trace: trailing garbage in chunk " + std::to_string(chunk_index_) +
+                  " of " + path_);
   }
-  return done;
+  if (delta_on_) {
+    for (auto& r : out) delta_.unfilter(r);
+  }
 }
 
 std::uint64_t min_payload_bytes(std::uint64_t records) {
@@ -123,24 +145,9 @@ std::uint64_t max_payload_bytes(std::uint64_t records) {
   return (records * kBranchBits + 7) / 8;
 }
 
-std::span<const std::uint8_t> chunk_raw_payload(std::span<const std::uint8_t> payload,
-                                                const ChunkHeader& ch,
-                                                std::uint64_t chunk_index,
-                                                std::vector<std::uint8_t>& scratch,
-                                                const std::string& path) {
-  if (!ch.compressed()) return payload;
-  scratch.resize(ch.raw_bytes);
-  try {
-    lz::decompress(payload, scratch);
-  } catch (const std::runtime_error& e) {
-    fail(path, "corrupt compressed payload in chunk " + std::to_string(chunk_index) +
-                   " (" + e.what() + ")");
-  }
-  return scratch;
-}
-
-ContainerHeader read_container_header(ByteSource& src, std::uint64_t file_size,
-                                      const std::string& path) {
+ContainerHeader read_container_header(std::span<const std::uint8_t> head,
+                                      std::uint64_t file_size, const std::string& path) {
+  Cursor src(head, 0);
   char magic[4];
   src.read(magic, sizeof magic, "magic");
   if (std::memcmp(magic, kContainerMagic, sizeof magic) != 0) {
@@ -148,24 +155,24 @@ ContainerHeader read_container_header(ByteSource& src, std::uint64_t file_size,
   }
 
   ContainerHeader h;
-  h.version = read_u32le(src, "version");
+  h.version = src.u32("version");
   if (h.version != kContainerV1 && h.version != kContainerV2 &&
       h.version != kContainerV3 && h.version != kContainerV4) {
     fail(path, "unsupported version " + std::to_string(h.version));
   }
 
-  const std::uint32_t name_len = read_u32le(src, "name_len");
+  const std::uint32_t name_len = src.u32("name_len");
   if (name_len > kMaxNameLen || name_len > file_size) {
     fail(path, "name_len " + std::to_string(name_len) + " out of range");
   }
   h.name.resize(name_len);
   src.read(h.name.data(), name_len, "name");
 
-  h.start_pc = read_u64le(src, "start_pc");
-  h.record_count = read_u64le(src, "count");
+  h.start_pc = src.u64("start_pc");
+  h.record_count = src.u64("count");
 
   if (h.version == kContainerV1) {
-    h.payload_len = read_u64le(src, "payload_len");
+    h.payload_len = src.u64("payload_len");
     h.payload_start = src.pos();
     if (h.payload_len > file_size - h.payload_start) {
       fail(path, "payload_len " + std::to_string(h.payload_len) +
@@ -188,8 +195,8 @@ ContainerHeader read_container_header(ByteSource& src, std::uint64_t file_size,
     return h;
   }
 
-  h.chunk_records = read_u32le(src, "chunk_records");
-  h.chunk_count = read_u32le(src, "chunk_count");
+  h.chunk_records = src.u32("chunk_records");
+  h.chunk_count = src.u32("chunk_count");
   h.payload_start = src.pos();
   if (h.chunk_records == 0 || h.chunk_records > kMaxChunkRecords) {
     fail(path, "chunk_records " + std::to_string(h.chunk_records) + " out of range");
@@ -216,11 +223,12 @@ ContainerHeader read_container_header(ByteSource& src, std::uint64_t file_size,
   return h;
 }
 
-ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
-                              std::uint64_t records_remaining, std::uint64_t file_size,
-                              const std::string& path) {
+ChunkHeader read_chunk_header(std::span<const std::uint8_t> bytes, std::uint64_t offset,
+                              const ContainerHeader& hdr, std::uint64_t records_remaining,
+                              std::uint64_t file_size, const std::string& path) {
+  Cursor src(bytes, offset);
   ChunkHeader c;
-  c.record_count = read_u32le(src, "chunk record_count");
+  c.record_count = src.u32("chunk record_count");
   const std::uint64_t expected =
       records_remaining < hdr.chunk_records ? records_remaining : hdr.chunk_records;
   if (c.record_count != expected) {
@@ -229,9 +237,9 @@ ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
   }
 
   if (hdr.version >= kContainerV3) {
-    c.flags = read_u32le(src, "chunk flags");
-    c.raw_bytes = read_u32le(src, "chunk raw_bytes");
-    c.payload_bytes = read_u32le(src, "chunk compressed_bytes");
+    c.flags = src.u32("chunk flags");
+    c.raw_bytes = src.u32("chunk raw_bytes");
+    c.payload_bytes = src.u32("chunk compressed_bytes");
     // The legal flag set is per-version: the delta bit a v4 writer may
     // set is corruption inside a v3 container.
     const std::uint32_t known = hdr.version >= kContainerV4
@@ -266,7 +274,7 @@ ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
                      " on an uncompressed chunk");
     }
   } else {
-    c.payload_bytes = read_u32le(src, "chunk payload_bytes");
+    c.payload_bytes = src.u32("chunk payload_bytes");
     c.raw_bytes = c.payload_bytes;
     if (c.payload_bytes < min_payload_bytes(c.record_count) ||
         c.payload_bytes > max_payload_bytes(c.record_count)) {
@@ -283,19 +291,6 @@ ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
                    std::to_string(file_size));
   }
   return c;
-}
-
-ContainerHeader read_container_header(std::istream& is, std::uint64_t file_size,
-                                      const std::string& path) {
-  StreamByteSource src(is);
-  return read_container_header(src, file_size, path);
-}
-
-ChunkHeader read_chunk_header(std::istream& is, const ContainerHeader& hdr,
-                              std::uint64_t records_remaining, std::uint64_t file_size,
-                              const std::string& path) {
-  StreamByteSource src(is);
-  return read_chunk_header(src, hdr, records_remaining, file_size, path);
 }
 
 }  // namespace resim::trace

@@ -48,10 +48,11 @@
 #define RESIM_TRACE_CONTAINER_H
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitstream.hpp"
@@ -144,8 +145,6 @@ struct DeltaCodec {
       prev_addr = r.addr;
     }
   }
-
-  void reset() { *this = DeltaCodec{}; }
 };
 
 /// On-disk size of a chunk header for container version `version`.
@@ -153,73 +152,32 @@ struct DeltaCodec {
   return version >= kContainerV3 ? 16 : 8;
 }
 
-// --- byte sources ----------------------------------------------------------
-// The header parsers read through this minimal abstraction so one
-// validation implementation serves both the seekable-stream reader
-// (FileTraceSource) and the memory-mapped reader (MmapTraceSource).
-// Every read checks for truncation and throws std::runtime_error naming
-// the field on a short read.
-
-class ByteSource {
- public:
-  virtual ~ByteSource() = default;
-  /// Reads exactly `n` bytes into `dst` or throws
-  /// "load_trace: truncated field <field>".
-  virtual void read(void* dst, std::size_t n, const char* field) = 0;
-  /// Bytes consumed since the start of the container.
-  [[nodiscard]] virtual std::uint64_t pos() const = 0;
-};
-
-/// ByteSource over a std::istream (checks stream state after each read).
-class StreamByteSource final : public ByteSource {
- public:
-  explicit StreamByteSource(std::istream& is) : is_(is) {}
-  void read(void* dst, std::size_t n, const char* field) override;
-  [[nodiscard]] std::uint64_t pos() const override;
-
- private:
-  std::istream& is_;
-};
-
-/// ByteSource over an in-memory byte range (an mmap'd file).
-class SpanByteSource final : public ByteSource {
- public:
-  explicit SpanByteSource(std::span<const std::uint8_t> data, std::size_t offset = 0)
-      : data_(data), offset_(offset) {}
-  void read(void* dst, std::size_t n, const char* field) override;
-  [[nodiscard]] std::uint64_t pos() const override { return offset_; }
-
-  /// Hop past bytes without reading them (chunk-skipping seek). May
-  /// legally land exactly at the end; read() treats any overshoot as
-  /// truncation.
-  void advance(std::size_t n) { offset_ += n; }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t offset_ = 0;
-};
-
 // --- little-endian primitives (byte-shift, no reinterpret_cast) ------------
 
 void write_u32le(std::ostream& os, std::uint32_t v);
 void write_u64le(std::ostream& os, std::uint64_t v);
-[[nodiscard]] std::uint32_t read_u32le(ByteSource& src, const char* field);
-[[nodiscard]] std::uint64_t read_u64le(ByteSource& src, const char* field);
-[[nodiscard]] std::uint32_t read_u32le(std::istream& is, const char* field);
-[[nodiscard]] std::uint64_t read_u64le(std::istream& is, const char* field);
 
-/// Reads and validates the magic, version and per-version header fields.
-/// Every length/count is checked against `file_size` before any
-/// allocation sized from it. Throws std::runtime_error naming the
+// --- the one header parser, over bytes --------------------------------------
+// Every reader hands these parsers the bytes it got, however it got them
+// (a read() into a buffer, a view into a mapping). A field the bytes stop
+// short of throws std::runtime_error "load_trace: truncated field <field>".
+
+/// Bytes of the largest container header (v1/v2+ agree: u64 payload_len
+/// vs u32 chunk_records + u32 chunk_count), i.e. how much of the file a
+/// reader must offer read_container_header.
+inline constexpr std::uint64_t kMaxHeaderBytes = 4 + 4 + 4 + kMaxNameLen + 8 + 8 + 8;
+
+/// Reads and validates the magic, version and per-version header fields
+/// from `head`, the first bytes of the file (at most kMaxHeaderBytes are
+/// looked at). Every length/count is checked against `file_size` before
+/// any allocation sized from it. Throws std::runtime_error naming the
 /// offending field.
-[[nodiscard]] ContainerHeader read_container_header(ByteSource& src,
-                                                    std::uint64_t file_size,
-                                                    const std::string& path);
-[[nodiscard]] ContainerHeader read_container_header(std::istream& is,
+[[nodiscard]] ContainerHeader read_container_header(std::span<const std::uint8_t> head,
                                                     std::uint64_t file_size,
                                                     const std::string& path);
 
-/// Reads and validates one v2/v3 chunk header at the current position.
+/// Reads and validates one v2+ chunk header from `bytes`, which start at
+/// file offset `offset` (chunk_header_bytes(hdr.version) are looked at).
 /// `records_remaining` is the count of records the container still owes;
 /// the chunk must deliver min(records_remaining, hdr.chunk_records) of
 /// them, its raw_bytes must fit the record count, and its stored payload
@@ -228,11 +186,8 @@ void write_u64le(std::ostream& os, std::uint64_t v);
 /// together with the compressed bit), a compressed chunk's
 /// compressed_bytes must be non-zero and smaller than raw_bytes, and a
 /// raw chunk's compressed_bytes must equal raw_bytes.
-[[nodiscard]] ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
-                                            std::uint64_t records_remaining,
-                                            std::uint64_t file_size,
-                                            const std::string& path);
-[[nodiscard]] ChunkHeader read_chunk_header(std::istream& is, const ContainerHeader& hdr,
+[[nodiscard]] ChunkHeader read_chunk_header(std::span<const std::uint8_t> bytes,
+                                            std::uint64_t offset, const ContainerHeader& hdr,
                                             std::uint64_t records_remaining,
                                             std::uint64_t file_size,
                                             const std::string& path);
@@ -242,45 +197,56 @@ void write_u64le(std::ostream& os, std::uint64_t v);
 [[nodiscard]] std::uint64_t min_payload_bytes(std::uint64_t records);
 [[nodiscard]] std::uint64_t max_payload_bytes(std::uint64_t records);
 
-/// Chunk bookkeeping shared by the file-backed sources (stream + mmap).
-struct ChunkProgress {
-  std::uint64_t next_record = 0;     ///< records decoded or seeked past so far
-  std::uint64_t chunks_read = 0;     ///< chunks consumed (decoded or seeked)
-  std::uint64_t chunks_skipped = 0;  ///< chunks seeked past unread
-  void reset() { *this = ChunkProgress{}; }
+/// The one validating chunk decoder every container reader goes through:
+/// LZ-expand (v3+ compressed chunks), bit-unpack, reject trailing bytes
+/// after the last record, invert the v4 delta filter. open() takes a
+/// chunk's bytes as stored plus its header; decode() then hands out its
+/// records. A v2+ reader decodes a chunk in one decode() call; a v1
+/// payload, one monolithic "chunk" without a chunk header, decodes in
+/// bounded batches so its decoded form stays O(batch).
+class ChunkDecoder {
+ public:
+  explicit ChunkDecoder(std::string path) : path_(std::move(path)), suffix_(" in " + path_) {}
+
+  /// Starts on a chunk. A compressed payload expands into the decoder's
+  /// reused scratch; a raw one is decoded where it lies (in place from a
+  /// mapping), so `stored` must outlive the chunk's decode() calls. LZ
+  /// corruption throws the container's std::runtime_error naming chunk
+  /// `chunk_index`; `first_record` numbers records in truncation errors.
+  void open(std::span<const std::uint8_t> stored, const ChunkHeader& ch,
+            std::uint64_t chunk_index, std::uint64_t first_record);
+
+  /// Starts on a v1 container's single payload of `records` records.
+  void open_v1(std::span<const std::uint8_t> payload, std::uint64_t records);
+
+  /// Replaces `out` with the chunk's next `n` records (n <= left()).
+  /// Decoding the last one checks that at most alignment padding follows.
+  void decode(std::uint64_t n, std::vector<TraceRecord>& out);
+
+  /// Records of the open chunk not yet decoded.
+  [[nodiscard]] std::uint64_t left() const { return left_; }
+
+ private:
+  std::string path_;
+  std::string suffix_;                ///< " in <path>" for decode_records
+  std::vector<std::uint8_t> scratch_; ///< LZ output (reused)
+  std::optional<BitReader> br_;
+  DeltaCodec delta_;                  ///< v4 state, reset at every open()
+  bool delta_on_ = false;
+  std::uint64_t left_ = 0;
+  std::uint64_t next_record_ = 0;
+  std::uint64_t chunk_index_ = 0;
+
+  /// chunk_index_ of a v1 payload, whose trailing-garbage error names
+  /// the record count instead of a chunk.
+  static constexpr std::uint64_t kWholePayload = ~std::uint64_t{0};
 };
-
-/// The chunk-skipping seek loop shared by FileTraceSource and
-/// MmapTraceSource: for each whole chunk inside the remaining skip
-/// region, validates its header, calls `hop(ch)` to advance the backend
-/// past the stored payload (after which src.pos() must sit past it),
-/// and applies the frame-granular accounting — consumed counts the
-/// records, bits counts raw_bytes * 8, so compressed and raw containers
-/// agree on bits_consumed. Enforces the trailing-garbage check after
-/// the last chunk. Stops before a chunk the caller must decode
-/// partially; returns records skipped.
-std::uint64_t skip_whole_chunks(ByteSource& src, const ContainerHeader& hdr,
-                                std::uint64_t want, std::uint64_t file_size,
-                                const std::string& path,
-                                const std::function<void(const ChunkHeader&)>& hop,
-                                ChunkProgress& prog, std::uint64_t& consumed,
-                                std::uint64_t& bits);
-
-/// Decompresses a kChunkFlagCompressed payload into `scratch` (resized
-/// to ch.raw_bytes) and returns the bit-packed bytes to decode — the
-/// payload itself for raw chunks, so raw mmap'd chunks decode in place
-/// with zero copies. LZ corruption is converted to the container's
-/// std::runtime_error contract naming chunk `chunk_index`.
-[[nodiscard]] std::span<const std::uint8_t> chunk_raw_payload(
-    std::span<const std::uint8_t> payload, const ChunkHeader& ch,
-    std::uint64_t chunk_index, std::vector<std::uint8_t>& scratch,
-    const std::string& path);
 
 /// Appends `count` decoded records to `out`, converting the codec's
 /// std::out_of_range (truncated bit stream) into the container level's
 /// std::runtime_error contract: "<prefix>: truncated payload at record
-/// <first_index + n><suffix>". The single home of that conversion for
-/// every container reader.
+/// <first_index + n><suffix>". Used by the chunk decoder and
+/// Trace::decode_payload.
 void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_index,
                     std::vector<TraceRecord>& out, const std::string& prefix,
                     const std::string& suffix);

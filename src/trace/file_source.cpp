@@ -4,79 +4,137 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__unix__) || defined(__APPLE__)
+#define RESIM_HAVE_MMAP 1
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
+
 namespace resim::trace {
 
-FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
-  is_.open(path_, std::ios::binary);
-  if (!is_) throw std::runtime_error("FileTraceSource: cannot open " + path_);
-  is_.seekg(0, std::ios::end);
-  file_size_ = static_cast<std::uint64_t>(is_.tellg());
-  is_.seekg(0, std::ios::beg);
-  hdr_ = read_container_header(is_, file_size_, path_);
+// --- ContainerFile ---------------------------------------------------------
 
-  if (hdr_.version == kContainerV1) {
-    // v1 has one monolithic payload: keep its (compact) encoded bytes
-    // resident and decode in bounded batches.
-    encoded_.resize(hdr_.payload_len);
-    is_.read(reinterpret_cast<char*>(encoded_.data()),
-             static_cast<std::streamsize>(encoded_.size()));
-    if (!is_) throw std::runtime_error("load_trace: truncated payload in " + path_);
-    reader_.emplace(encoded_);
-  } else if (hdr_.chunk_count == 0 && hdr_.payload_start != file_size_) {
-    // Non-empty traces detect trailing bytes after the last chunk; an
-    // empty trace must end right after the header.
-    throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                             path_);
+ContainerFile::ContainerFile(std::string path, ByteMode mode, const char* who)
+    : path_(std::move(path)), mapped_(mode == ByteMode::kMapped) {
+  const std::string prefix = std::string(who) + ": ";
+  if (!mapped_) {
+    is_.open(path_, std::ios::binary);
+    if (!is_) throw std::runtime_error(prefix + "cannot open " + path_);
+    is_.seekg(0, std::ios::end);
+    size_ = static_cast<std::uint64_t>(is_.tellg());
+    is_.seekg(0, std::ios::beg);
+  } else {
+#ifndef RESIM_HAVE_MMAP
+    throw std::runtime_error(prefix + "no mmap on this platform (" + path_ +
+                             "); use the stream backend");
+#else
+    const int fd = ::open(path_.c_str(), O_RDONLY);
+    if (fd < 0) throw std::runtime_error(prefix + "cannot open " + path_);
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      throw std::runtime_error(prefix + "cannot stat " + path_);
+    }
+    size_ = static_cast<std::uint64_t>(st.st_size);
+    if (size_ > 0) {
+      void* m = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+      if (m == MAP_FAILED) {
+        ::close(fd);
+        throw std::runtime_error(prefix + "mmap failed for " + path_);
+      }
+      map_ = {static_cast<const std::uint8_t*>(m), Unmap{size_}};
+      // Sequential drain is the dominant access pattern; advisory only.
+      (void)::madvise(m, size_, MADV_SEQUENTIAL);
+    }
+    ::close(fd);
+#endif
   }
+  std::vector<std::uint8_t> head;
+  hdr_ = read_container_header(bytes(0, kMaxHeaderBytes, head), size_, path_);
 }
 
-void FileTraceSource::decode_batch(BitReader& br, std::uint64_t n) {
-  buf_.clear();
-  buf_pos_ = 0;
-  buf_.reserve(n);  // no-op after the first chunk: capacity is reused
-  decode_records(br, n, prog_.next_record, buf_, "load_trace", " in " + path_);
-  prog_.next_record += n;
-  max_buffered_ = std::max(max_buffered_, buf_.size());
+void ContainerFile::Unmap::operator()(const std::uint8_t* map) const {
+#ifdef RESIM_HAVE_MMAP
+  ::munmap(const_cast<std::uint8_t*>(map), static_cast<std::size_t>(size));
+#else
+  (void)map;
+#endif
+}
+
+std::span<const std::uint8_t> ContainerFile::bytes(std::uint64_t off, std::uint64_t n,
+                                                   std::vector<std::uint8_t>& into) {
+  off = std::min(off, size_);
+  n = std::min(n, size_ - off);
+  if (mapped_) return {map_.get() + off, static_cast<std::size_t>(n)};
+  into.resize(static_cast<std::size_t>(n));
+  if (n == 0) return into;
+  if (off != pos_) {
+    is_.clear();
+    is_.seekg(static_cast<std::streamoff>(off));
+  }
+  is_.read(reinterpret_cast<char*>(into.data()), static_cast<std::streamsize>(n));
+  if (!is_) {
+    pos_ = ~std::uint64_t{0};  // unknown: the next read seeks
+    throw std::runtime_error("load_trace: truncated chunk in " + path_);
+  }
+  pos_ = off + n;
+  return into;
+}
+
+ChunkHeader ContainerFile::chunk_header(std::uint64_t off, std::uint64_t records_remaining) {
+  return read_chunk_header(bytes(off, chunk_header_bytes(hdr_.version), hdr_buf_), off, hdr_,
+                           records_remaining, size_, path_);
+}
+
+// --- FileTraceSource -------------------------------------------------------
+
+FileTraceSource::FileTraceSource(std::string path, ByteMode mode)
+    : who_(mode == ByteMode::kMapped ? "MmapTraceSource" : "FileTraceSource"),
+      file_(std::move(path), mode, who_),
+      dec_(file_.path()) {
+  const ContainerHeader& h = file_.header();
+  if (h.version == kContainerV1) {
+    // v1 has one monolithic payload: keep its (compact) encoded bytes
+    // resident — read once, or mapped — and decode in bounded batches.
+    v1_payload_ = file_.bytes(h.payload_start, h.payload_len, encoded_);
+  }
+  rewind();
+  // An empty v2+ trace must end right after the header; non-empty ones
+  // are checked after their last chunk.
+  if (h.version != kContainerV1) check_end();
+}
+
+void FileTraceSource::check_end() const {
+  if (chunks_read_ == file_.header().chunk_count && offset_ != file_.size()) {
+    throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
+                             file_.path());
+  }
 }
 
 void FileTraceSource::refill() {
-  if (hdr_.version == kContainerV1) {
-    const std::uint64_t n = std::min<std::uint64_t>(
-        kDefaultChunkRecords, hdr_.record_count - prog_.next_record);
-    decode_batch(*reader_, n);
-    if (prog_.next_record == hdr_.record_count && reader_->bits_remaining() >= 8) {
-      throw std::runtime_error("load_trace: trailing garbage after record " +
-                               std::to_string(hdr_.record_count) + " in " + path_);
-    }
+  const ContainerHeader& h = file_.header();
+  std::uint64_t n = 0;
+  if (h.version == kContainerV1) {
+    n = std::min<std::uint64_t>(kDefaultChunkRecords, dec_.left());
   } else {
-    const std::uint64_t remaining = hdr_.record_count - prog_.next_record;
-    const ChunkHeader ch = read_chunk_header(is_, hdr_, remaining, file_size_, path_);
-    encoded_.resize(ch.payload_bytes);
-    is_.read(reinterpret_cast<char*>(encoded_.data()),
-             static_cast<std::streamsize>(encoded_.size()));
-    if (!is_) throw std::runtime_error("load_trace: truncated chunk in " + path_);
-    // v3 compressed chunks expand into the reused raw_ scratch; raw
-    // chunks (all of v2) decode straight from the read buffer.
-    BitReader br(chunk_raw_payload(encoded_, ch, prog_.chunks_read, raw_, path_));
-    decode_batch(br, ch.record_count);
-    if (br.bits_remaining() >= 8) {
-      throw std::runtime_error("load_trace: trailing garbage in chunk " +
-                               std::to_string(prog_.chunks_read) + " of " + path_);
-    }
-    if (ch.delta_filtered()) {
-      // v4: invert the delta pre-filter; its state is chunk-local by
-      // construction, so a fresh codec per chunk is the whole story.
-      DeltaCodec delta;
-      for (auto& r : buf_) delta.unfilter(r);
-    }
-    ++prog_.chunks_read;
-    if (prog_.chunks_read == hdr_.chunk_count &&
-        static_cast<std::uint64_t>(is_.tellg()) != file_size_) {
-      throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                               path_);
-    }
+    const ChunkHeader ch = file_.chunk_header(offset_, h.record_count - next_record_);
+    offset_ += chunk_header_bytes(h.version);
+    dec_.open(file_.bytes(offset_, ch.payload_bytes, encoded_), ch, chunks_read_,
+              next_record_);
+    offset_ += ch.payload_bytes;
+    n = ch.record_count;
   }
+  dec_.decode(n, buf_);
+  buf_pos_ = 0;
+  next_record_ += n;
+  max_buffered_ = std::max(max_buffered_, buf_.size());
   ++chunks_decoded_;
+  if (h.version != kContainerV1) {
+    ++chunks_read_;
+    check_end();
+  }
 }
 
 std::uint64_t FileTraceSource::skip(std::uint64_t n) {
@@ -87,21 +145,21 @@ std::uint64_t FileTraceSource::skip(std::uint64_t n) {
     (void)next();
     ++done;
   }
-  if (hdr_.version >= kContainerV2) {
-    // Whole chunks inside the remaining skip region: the shared seek
-    // loop validates each header; this backend hops with a relative
-    // seekg past the stored payload.
-    StreamByteSource src(is_);
-    done += skip_whole_chunks(src, hdr_, n - done, file_size_, path_,
-                              [this](const ChunkHeader& ch) {
-                                is_.seekg(static_cast<std::streamoff>(ch.payload_bytes),
-                                          std::ios::cur);
-                                if (!is_) {
-                                  throw std::runtime_error(
-                                      "load_trace: truncated chunk in " + path_);
-                                }
-                              },
-                              prog_, consumed_, bits_);
+  const ContainerHeader& h = file_.header();
+  // Whole chunks inside the remaining skip region: validate the header,
+  // hop the stored payload unread, and account at frame granularity.
+  while (h.version != kContainerV1 && done < n && next_record_ < h.record_count) {
+    const std::uint64_t remaining = h.record_count - next_record_;
+    if (n - done < std::min<std::uint64_t>(remaining, h.chunk_records)) break;
+    const ChunkHeader ch = file_.chunk_header(offset_, remaining);
+    offset_ += chunk_header_bytes(h.version) + ch.payload_bytes;
+    next_record_ += ch.record_count;
+    consumed_ += ch.record_count;
+    bits_ += std::uint64_t{ch.raw_bytes} * 8;
+    done += ch.record_count;
+    ++chunks_read_;
+    ++chunks_skipped_;
+    check_end();
   }
   // Remainder (a partial chunk, or any v1 stream): decode and discard.
   while (done < n && peek() != nullptr) {
@@ -113,7 +171,7 @@ std::uint64_t FileTraceSource::skip(std::uint64_t n) {
 
 const TraceRecord* FileTraceSource::peek() {
   while (buf_pos_ == buf_.size()) {
-    if (prog_.next_record >= hdr_.record_count) return nullptr;
+    if (next_record_ >= file_.header().record_count) return nullptr;
     refill();
   }
   return &buf_[buf_pos_];
@@ -121,7 +179,7 @@ const TraceRecord* FileTraceSource::peek() {
 
 TraceRecord FileTraceSource::next() {
   if (peek() == nullptr) {
-    throw std::out_of_range("FileTraceSource::next: past end of trace");
+    throw std::out_of_range(std::string(who_) + "::next: past end of trace");
   }
   const TraceRecord r = buf_[buf_pos_++];
   ++consumed_;
@@ -132,15 +190,14 @@ TraceRecord FileTraceSource::next() {
 void FileTraceSource::rewind() {
   consumed_ = 0;
   bits_ = 0;
-  prog_.reset();
+  next_record_ = 0;
+  chunks_read_ = 0;
+  chunks_skipped_ = 0;
   buf_.clear();
   buf_pos_ = 0;
-  if (hdr_.version == kContainerV1) {
-    reader_.emplace(encoded_);  // payload already resident; restart the bit cursor
-  } else {
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(hdr_.payload_start));
-    if (!is_) throw std::runtime_error("FileTraceSource: rewind seek failed in " + path_);
+  offset_ = file_.header().payload_start;
+  if (file_.header().version == kContainerV1) {
+    dec_.open_v1(v1_payload_, file_.header().record_count);
   }
 }
 

@@ -1,9 +1,13 @@
 // TraceSource: the engine's pull interface to a record stream.
 //
-// Implementations: in-memory vector (bulk simulation of prepared traces,
-// paper §I "traces prepared off-line"), and the streaming source fed by
-// a live trace generator (the on-the-fly FAST-style coupling of §I/§VI)
-// in src/baseline/coupled.hpp.
+// Implementations: the in-memory vector below (bulk simulation of
+// prepared traces, paper §I "traces prepared off-line"); the one .rsim
+// file reader, FileTraceSource (file_source.hpp: read() or mapped bytes,
+// one chunk decoded at a time); the shared-cache cursor BatchTraceSource
+// (batch_cache.hpp); the region adaptor SegmentedTraceSource
+// (segment.hpp); and the streaming source fed by a live trace generator
+// (the on-the-fly FAST-style coupling of §I/§VI) in
+// src/baseline/coupled.hpp.
 #ifndef RESIM_TRACE_READER_H
 #define RESIM_TRACE_READER_H
 
@@ -29,10 +33,11 @@ class TraceSource {
   /// Consume and discard up to `n` records; returns how many were
   /// skipped (fewer only at end of stream). records_consumed() counts
   /// skipped records. The default decodes and discards one record at a
-  /// time; sources with framed storage override it to seek past whole
-  /// frames unread (FileTraceSource skips container-v2 chunks via their
-  /// payload_bytes field), in which case bits_consumed() accounts for
-  /// the skipped region at frame granularity rather than per record.
+  /// time; sources over chunked containers (FileTraceSource in either
+  /// byte mode, BatchTraceSource) override it to hop whole v2+ chunks
+  /// unread via their stored sizes, in which case bits_consumed()
+  /// accounts for a skipped chunk at frame granularity (raw_bytes * 8)
+  /// rather than per record.
   virtual std::uint64_t skip(std::uint64_t n) {
     std::uint64_t done = 0;
     while (done < n && peek() != nullptr) {

@@ -1,21 +1,29 @@
-// SegmentedTraceSource: multi-window adaptor over any TraceSource
+// SegmentedTraceSource: region-of-interest adaptor over any TraceSource
 // (docs/SAMPLING.md).
 //
-// TraceWindow carves ONE region out of a trace; a sampled run needs
-// MANY: gap → warmup → detailed window → gap → ... over a single pass
-// of the inner source. This adaptor hands the consumer (one long-lived
-// engine) a bounded allowance at a time:
+// Long traces are rarely simulated end to end. The standard methodology
+// (ChampSim-style) fast-forwards past an uninteresting prefix, warms the
+// microarchitectural state, then measures a bounded region; a sampled
+// run repeats that many times: gap → warmup → detailed window → gap →
+// ... over a single pass of the inner source. This adaptor hands the
+// consumer (one long-lived engine) a bounded allowance at a time:
 //
-//   open_segment(n)   grant n more records; peek()/next()/views flow
-//                     until the allowance is used up (then EOF)
-//   close_segment()   revoke the unused remainder (hard segment end)
 //   skip_gap(n)       fast-forward the inner source between segments
 //                     (chunk-seeking skip(); nothing is decoded or
 //                     counted here)
+//   open_segment(n)   grant n more records (kAll: the rest of the
+//                     trace); peek()/next()/views flow until the
+//                     allowance is used up (then EOF)
+//   close_segment()   revoke the unused remainder (hard segment end)
+//
+// One region (`sim --skip S --warmup W --max-records M`) is
+// skip_gap(S) then open_segment(M); the warm-up is over once
+// records_consumed() >= W or the source is exhausted.
 //
 // bits_consumed()/records_consumed() count only records handed through
-// segments — gap records never appear in the consumer's totals, exactly
-// like TraceWindow's skip region. inner_position() reports the absolute
+// segments — gap records never appear in the consumer's totals, so an
+// engine run over a region reports the region's own trace statistics.
+// inner_position() reports the absolute
 // record cursor of the inner source (its records_consumed(), which by
 // the TraceSource contract includes skipped records), which is what the
 // sampling planner uses to aim skip_gap() at absolute window starts.
@@ -79,8 +87,11 @@ class SegmentedTraceSource final : public TraceSource {
 
   // --- segment control (the sampled runner, driver/sampling.cpp) ----------
 
-  /// Grant `n` more records to the consumer.
-  void open_segment(std::uint64_t n) { remaining_ += n; }
+  /// open_segment(kAll) lifts the cap: the segment runs to the end.
+  static constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
+  /// Grant `n` more records to the consumer (saturating at kAll).
+  void open_segment(std::uint64_t n) { remaining_ = n > kAll - remaining_ ? kAll : remaining_ + n; }
 
   /// Revoke the unused allowance; returns how many records were revoked.
   std::uint64_t close_segment() {

@@ -19,8 +19,8 @@
 #include "driver/batch_runner.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
+#include "trace/segment.hpp"
 #include "trace/tracegen.hpp"
-#include "trace/window.hpp"
 #include "trace/writer.hpp"
 #include "trace_test_util.hpp"
 #include "workload/suite.hpp"
@@ -153,14 +153,16 @@ TEST(SharedBatchCache, V1ContainerRejected) {
   std::remove(path.c_str());
 }
 
-// ---- TraceWindow over shared batches --------------------------------------
+// ---- one region over shared batches ----------------------------------------
 
-TEST(TraceWindowOverBatches, SkipWarmupRegionMatchesFileSource) {
+TEST(SegmentOverBatches, SkipWarmupRegionMatchesFileSource) {
   const Trace t = generate("parser", 9000);
   const std::string path = save_flavor(t, "window", "v4", /*chunk_records=*/256);
 
   const auto run_window = [&](TraceSource& inner) {
-    TraceWindow w(inner, /*skip=*/2500, /*warmup=*/500, /*simulate=*/3000);
+    SegmentedTraceSource w(inner);
+    (void)w.skip_gap(2500);
+    w.open_segment(/*warmup=*/500 + /*simulate=*/3000);
     const auto cfg = core::CoreConfig::paper_4wide_perfect();
     return core::ReSimEngine(cfg, w).run();
   };

@@ -14,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "config/config_file.hpp"
 #include "config/sweep_spec.hpp"
 #include "core/engine.hpp"
 #include "driver/batch_runner.hpp"
 #include "driver/result_export.hpp"
+#include "driver/sampling.hpp"
 #include "driver/sweep_grid.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
@@ -302,6 +304,25 @@ TEST(ServeRequest, MissingAndMistypedFieldsRejected) {
       RequestError);
 }
 
+TEST(ServeRequest, WindowWithSamplingRejectedLikeTheCli) {
+  for (const char* window : {R"("skip":100)", R"("warmup":100)", R"("max_records":100)"}) {
+    try {
+      (void)parse_sim_request(req_json(
+          std::string(R"({"type":"sim","id":"r","trace":"t",)") + window +
+          R"(,"set":["sample.windows=4","sample.window_insts=2000"]})"));
+      ADD_FAILURE() << "expected RequestError for " << window;
+    } catch (const RequestError& e) {
+      EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+      EXPECT_EQ(std::string(e.what()), driver::kWindowedSamplingError) << window;
+    }
+  }
+  // Either alone stays legal.
+  EXPECT_NO_THROW((void)parse_sim_request(req_json(
+      R"({"type":"sim","id":"r","trace":"t","skip":100,"warmup":10})")));
+  EXPECT_NO_THROW((void)parse_sim_request(req_json(
+      R"({"type":"sim","id":"r","trace":"t","set":["sample.windows=4"]})")));
+}
+
 TEST(ServeRequest, SetsOverrideInlineConfigText) {
   const SimRequest req = parse_sim_request(req_json(
       R"({"type":"sim","id":"r","trace":"t.rsim",)"
@@ -497,6 +518,42 @@ TEST_F(ServeDaemonTest, SimResponseIsByteIdenticalToEngineOutput) {
   const auto done = client.request(build_sim_request(spec), got);
   EXPECT_EQ(got.str(), expected);
   EXPECT_EQ(done.bytes, expected.size());
+}
+
+TEST_F(ServeDaemonTest, SampledSimRunsSampledLikeTheCli) {
+  // sample.* sets must take effect in a served sim exactly as in
+  // `sim --json`: a sampled run over the plan the config describes, not
+  // a full run whose config block merely claims sampling.
+  start_daemon();
+  const std::string path = temp_path("served_sampled.rsim");
+  save_trace(generate("gzip", 30000), path);
+  const std::vector<std::string> sets = {"sample.windows=4", "sample.window_insts=2000"};
+
+  std::string expected;
+  std::uint64_t total = 0;
+  {
+    trace::FileTraceSource src(path);
+    total = src.total_records();
+    driver::JobResult jr;
+    jr.label = src.trace_name();
+    jr.workload = src.trace_name();
+    jr.config = core::CoreConfig::paper_4wide_perfect();
+    (void)config::apply_sets(jr.config, sets);
+    jr.config.validate();
+    jr.result =
+        driver::run_sampled(jr.config, src, driver::plan_from_config(jr.config, src)).result;
+    EXPECT_LT(jr.result.committed, total) << "the reference run must be sampled";
+    expected = driver::result_json(jr) + '\n';
+  }
+
+  Client client = Client::connect_to_unix(sock_);
+  SimRequestSpec spec;
+  spec.id = "sampled";
+  spec.trace_path = path;
+  spec.sets = sets;
+  std::ostringstream got;
+  (void)client.request(build_sim_request(spec), got);
+  EXPECT_EQ(got.str(), expected);
 }
 
 TEST_F(ServeDaemonTest, SweepCsvIsByteIdenticalToExporterOutput) {

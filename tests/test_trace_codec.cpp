@@ -12,7 +12,6 @@
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
 #include "trace/format.hpp"
-#include "trace/mmap_source.hpp"
 #include "trace/reader.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -408,7 +407,9 @@ TEST(TraceFileV3, CompressedBytesNotSmallerThanRawRejected) {
   {
     std::ifstream f(path, std::ios::binary);
     f.seekg(static_cast<std::streamoff>(v3::first_chunk_off(t) + 8));
-    raw_bytes = read_u32le(f, "raw_bytes");
+    unsigned char b[4] = {};
+    f.read(reinterpret_cast<char*>(b), sizeof b);
+    for (unsigned i = 0; i < 4; ++i) raw_bytes |= std::uint32_t{b[i]} << (8 * i);
   }
   v3::poke_u32(path, v3::first_chunk_off(t) + 12, raw_bytes);
   corrupt::expect_rejected(path, "compressed_bytes");

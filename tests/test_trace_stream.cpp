@@ -1,6 +1,7 @@
-// Streaming trace I/O: FileTraceSource vs. VectorTraceSource identity,
-// O(chunk) memory, rewind, TraceWindow regions, and factory-built
-// sources in the batch runner.
+// Streaming trace I/O: FileTraceSource (read and mapped modes) vs.
+// VectorTraceSource identity, O(chunk) memory, rewind, single-region
+// SegmentedTraceSource runs, and factory-built sources in the batch
+// runner.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,9 +18,8 @@
 #include "driver/batch_runner.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
-#include "trace/mmap_source.hpp"
+#include "trace/segment.hpp"
 #include "trace/tracegen.hpp"
-#include "trace/window.hpp"
 #include "trace/writer.hpp"
 #include "trace_test_util.hpp"
 #include "workload/suite.hpp"
@@ -149,12 +149,31 @@ INSTANTIATE_TEST_SUITE_P(Suite, StreamedSimEquivalence,
                          ::testing::ValuesIn(workload::suite_names()),
                          [](const auto& info) { return info.param; });
 
-// ---- TraceWindow ----------------------------------------------------------
+// ---- one region: SegmentedTraceSource as skip / warm-up / cap -----------
+//
+// `sim --skip S --warmup W --max-records M` is skip_gap(S) then
+// open_segment(M) (kAll without a cap); the warm-up is over once W
+// records went through or the region ran dry.
 
-TEST(TraceWindow, ExposesExactlyTheRequestedSlice) {
+bool warmup_done(SegmentedTraceSource& win, std::uint64_t warmup) {
+  return win.records_consumed() >= warmup || win.peek() == nullptr;
+}
+
+/// An engine run over one region of `base`.
+core::SimResult run_region(const core::CoreConfig& cfg, TraceSource& base, std::uint64_t skip,
+                           std::uint64_t len) {
+  SegmentedTraceSource win(base);
+  (void)win.skip_gap(skip);
+  win.open_segment(len);
+  return core::ReSimEngine(cfg, win).run();
+}
+
+TEST(SegmentRegion, ExposesExactlyTheRequestedSlice) {
   const Trace t = generate("gzip", 2000);
   VectorTraceSource base(t);
-  TraceWindow win(base, /*skip=*/100, /*warmup=*/50, /*simulate=*/200);
+  SegmentedTraceSource win(base);
+  EXPECT_EQ(win.skip_gap(100), 100u);
+  win.open_segment(/*warmup=*/50 + /*simulate=*/200);
 
   std::uint64_t bits = 0;
   for (std::uint64_t i = 0; i < 250; ++i) {
@@ -170,46 +189,68 @@ TEST(TraceWindow, ExposesExactlyTheRequestedSlice) {
   EXPECT_EQ(base.records_consumed(), 350u);
 }
 
-TEST(TraceWindow, SkipPastEndYieldsEmptyWindow) {
+TEST(SegmentRegion, SkipPastEndYieldsEmptyWindow) {
   const Trace t = generate("gzip", 500);
   VectorTraceSource base(t);
-  TraceWindow win(base, t.records.size() + 1000, 0, TraceWindow::kAll);
+  SegmentedTraceSource win(base);
+  EXPECT_EQ(win.skip_gap(t.records.size() + 1000), t.records.size());
+  win.open_segment(SegmentedTraceSource::kAll);
   EXPECT_EQ(win.peek(), nullptr);
   EXPECT_EQ(win.records_consumed(), 0u);
-  EXPECT_TRUE(win.warmup_done());  // an empty window has nothing to warm
+  EXPECT_TRUE(warmup_done(win, 20));  // an empty window has nothing to warm
   EXPECT_THROW((void)win.next(), std::out_of_range);
 }
 
-TEST(TraceWindow, ZeroLengthWindow) {
+TEST(SegmentRegion, ZeroLengthWindow) {
   const Trace t = generate("gzip", 500);
   VectorTraceSource base(t);
-  TraceWindow win(base, 0, 0, 0);
+  SegmentedTraceSource win(base);
+  EXPECT_EQ(win.skip_gap(0), 0u);
+  win.open_segment(0);
   EXPECT_EQ(win.peek(), nullptr);
   EXPECT_EQ(win.records_consumed(), 0u);
 }
 
-TEST(TraceWindow, WarmupDoneTransitionsAtBoundary) {
+TEST(SegmentRegion, WarmupDoneTransitionsAtBoundary) {
   const Trace t = generate("gzip", 500);
   VectorTraceSource base(t);
-  TraceWindow win(base, 10, 20, TraceWindow::kAll);
-  EXPECT_EQ(win.warmup_records(), 20u);
-  EXPECT_FALSE(win.warmup_done());
+  SegmentedTraceSource win(base);
+  (void)win.skip_gap(10);
+  win.open_segment(SegmentedTraceSource::kAll);
+  EXPECT_FALSE(warmup_done(win, 20));
   for (int i = 0; i < 19; ++i) (void)win.next();
-  EXPECT_FALSE(win.warmup_done());
+  EXPECT_FALSE(warmup_done(win, 20));
   (void)win.next();
-  EXPECT_TRUE(win.warmup_done());
+  EXPECT_TRUE(warmup_done(win, 20));
 }
 
-TEST(TraceWindow, UnlimitedSimulateDrainsToEnd) {
+TEST(SegmentRegion, UnlimitedSimulateDrainsToEnd) {
   const Trace t = generate("gzip", 300);
   VectorTraceSource base(t);
-  TraceWindow win(base, 50, 0, TraceWindow::kAll);
+  SegmentedTraceSource win(base);
+  (void)win.skip_gap(50);
+  win.open_segment(SegmentedTraceSource::kAll);
   std::uint64_t n = 0;
   while (win.peek() != nullptr) {
     (void)win.next();
     ++n;
   }
   EXPECT_EQ(n, t.records.size() - 50);
+}
+
+TEST(SegmentRegion, OpenSegmentSaturatesInsteadOfWrapping) {
+  const Trace t = generate("gzip", 300);
+  VectorTraceSource base(t);
+  SegmentedTraceSource win(base);
+  win.open_segment(5);
+  win.open_segment(7);
+  EXPECT_EQ(win.remaining(), 12u);
+  // An uncapped region after a warm-up grant must stay uncapped, not
+  // wrap to a tiny allowance.
+  win.open_segment(SegmentedTraceSource::kAll);
+  EXPECT_EQ(win.remaining(), SegmentedTraceSource::kAll);
+  win.open_segment(1);
+  EXPECT_EQ(win.remaining(), SegmentedTraceSource::kAll);
 }
 
 // ---- chunk-skipping seek --------------------------------------------------
@@ -311,8 +352,8 @@ TEST(FileTraceSource, SkipOnLegacyV1FallsBackToDecode) {
   std::remove(path.c_str());
 }
 
-TEST(TraceWindow, ChunkSkipSeekKeepsSimResultBitIdentical) {
-  // The satellite acceptance: a TraceWindow whose skip region spans
+TEST(SegmentRegion, ChunkSkipSeekKeepsSimResultBitIdentical) {
+  // A region whose skip spans
   // whole chunks must produce a bit-identical SimResult while the
   // streaming source seeks those chunks unread (lower decoded
   // high-water mark than the decode-everything path).
@@ -331,12 +372,10 @@ TEST(TraceWindow, ChunkSkipSeekKeepsSimResultBitIdentical) {
   save_trace(t, path, /*chunk_records=*/512);
 
   VectorTraceSource vbase(t);
-  TraceWindow vwin(vbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rv = core::ReSimEngine(cfg, vwin).run();
+  const auto rv = run_region(cfg, vbase, /*skip=*/2100, SegmentedTraceSource::kAll);
 
   FileTraceSource fbase(path);
-  TraceWindow fwin(fbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rf = core::ReSimEngine(cfg, fwin).run();
+  const auto rf = run_region(cfg, fbase, /*skip=*/2100, SegmentedTraceSource::kAll);
 
   EXPECT_EQ(rf.committed, rv.committed);
   EXPECT_EQ(rf.fetched, rv.fetched);
@@ -353,14 +392,14 @@ TEST(TraceWindow, ChunkSkipSeekKeepsSimResultBitIdentical) {
   std::remove(path.c_str());
 }
 
-// ---- TraceWindow over BatchTraceSource ------------------------------------
+// ---- one region over BatchTraceSource --------------------------------------
 //
 // Sampling plans put window starts at arbitrary record indices, so the
 // multi-window path routinely skips to the middle of a chunk and warms
 // up across a chunk boundary. The shared-cache cursor must stay
 // record-exact through both.
 
-TEST(TraceWindow, BatchSourceSkipLandsMidChunk) {
+TEST(SegmentRegion, BatchSourceSkipLandsMidChunk) {
   const auto cfg = core::CoreConfig::paper_4wide_perfect();
   Trace t;
   {
@@ -378,12 +417,10 @@ TEST(TraceWindow, BatchSourceSkipLandsMidChunk) {
   // 1610 lands inside chunk 3 (records 1536-2047): the cursor must
   // decode that chunk and expose exactly its suffix.
   VectorTraceSource vbase(t);
-  TraceWindow vwin(vbase, /*skip=*/1610, /*warmup=*/0, TraceWindow::kAll);
-  const auto rv = core::ReSimEngine(cfg, vwin).run();
+  const auto rv = run_region(cfg, vbase, /*skip=*/1610, SegmentedTraceSource::kAll);
 
   BatchTraceSource bbase(std::make_shared<SharedBatchCache>(path));
-  TraceWindow bwin(bbase, /*skip=*/1610, /*warmup=*/0, TraceWindow::kAll);
-  const auto rb = core::ReSimEngine(cfg, bwin).run();
+  const auto rb = run_region(cfg, bbase, /*skip=*/1610, SegmentedTraceSource::kAll);
 
   EXPECT_EQ(rb.committed, rv.committed);
   EXPECT_EQ(rb.fetched, rv.fetched);
@@ -396,7 +433,7 @@ TEST(TraceWindow, BatchSourceSkipLandsMidChunk) {
   std::remove(path.c_str());
 }
 
-TEST(TraceWindow, BatchSourceWarmupCrossesChunkBoundary) {
+TEST(SegmentRegion, BatchSourceWarmupCrossesChunkBoundary) {
   const Trace t = chunked_trace("vpr");
   const std::string path = temp_path("window_batch_warm.rsim");
   save_trace(t, path, /*chunk_records=*/512);
@@ -405,13 +442,15 @@ TEST(TraceWindow, BatchSourceWarmupCrossesChunkBoundary) {
   // crossing the chunk 0 / chunk 1 boundary at 512. The simulate bound
   // then ends mid-chunk 1 at record 923.
   BatchTraceSource base(std::make_shared<SharedBatchCache>(path));
-  TraceWindow win(base, /*skip=*/400, /*warmup=*/224, /*simulate=*/300);
-  EXPECT_FALSE(win.warmup_done());
+  SegmentedTraceSource win(base);
+  (void)win.skip_gap(400);
+  win.open_segment(/*warmup=*/224 + /*simulate=*/300);
+  EXPECT_FALSE(warmup_done(win, 224));
   for (std::uint64_t i = 0; i < 224; ++i) {
     ASSERT_NE(win.peek(), nullptr);
     ASSERT_TRUE(records_equal(win.next(), t.records[400 + i]));
   }
-  EXPECT_TRUE(win.warmup_done());
+  EXPECT_TRUE(warmup_done(win, 224));
   for (std::uint64_t i = 224; i < 524; ++i) {
     ASSERT_NE(win.peek(), nullptr);
     ASSERT_TRUE(records_equal(win.next(), t.records[400 + i]));
@@ -421,9 +460,9 @@ TEST(TraceWindow, BatchSourceWarmupCrossesChunkBoundary) {
   std::remove(path.c_str());
 }
 
-TEST(TraceWindow, BatchSourceMultiWindowConsumersStayIndependent) {
+TEST(SegmentRegion, BatchSourceMultiWindowConsumersStayIndependent) {
   // A sweep gives every job its own BatchTraceSource over one
-  // SharedBatchCache; each job's TraceWindow seeks to a different
+  // SharedBatchCache; each job's region seeks to a different
   // region. Interleaved cursors must each see exactly their own slice.
   const Trace t = chunked_trace("parser");
   const std::string path = temp_path("window_batch_multi.rsim");
@@ -432,8 +471,12 @@ TEST(TraceWindow, BatchSourceMultiWindowConsumersStayIndependent) {
   auto cache = std::make_shared<SharedBatchCache>(path, /*expected_consumers=*/2);
   BatchTraceSource a(cache);
   BatchTraceSource b(cache);
-  TraceWindow wa(a, /*skip=*/100, /*warmup=*/0, /*simulate=*/600);   // chunks 0-1
-  TraceWindow wb(b, /*skip=*/1700, /*warmup=*/0, /*simulate=*/500);  // chunks 3-4
+  SegmentedTraceSource wa(a);  // chunks 0-1
+  SegmentedTraceSource wb(b);  // chunks 3-4
+  (void)wa.skip_gap(100);
+  wa.open_segment(600);
+  (void)wb.skip_gap(1700);
+  wb.open_segment(500);
   for (std::uint64_t i = 0; i < 500; ++i) {
     ASSERT_TRUE(records_equal(wa.next(), t.records[100 + i]));
     ASSERT_TRUE(records_equal(wb.next(), t.records[1700 + i]));
@@ -448,12 +491,14 @@ TEST(TraceWindow, BatchSourceMultiWindowConsumersStayIndependent) {
   std::remove(path.c_str());
 }
 
-TEST(TraceWindow, LayersOverFileTraceSource) {
+TEST(SegmentRegion, LayersOverFileTraceSource) {
   const Trace t = generate("bzip2", 2000);
   const std::string path = temp_path("window_file.rsim");
   save_trace(t, path, /*chunk_records=*/128);
   FileTraceSource base(path);
-  TraceWindow win(base, 300, 0, 400);
+  SegmentedTraceSource win(base);
+  (void)win.skip_gap(300);
+  win.open_segment(400);
   for (std::uint64_t i = 0; i < 400; ++i) {
     ASSERT_NE(win.peek(), nullptr);
     ASSERT_TRUE(records_equal(win.next(), t.records[300 + i]));
@@ -579,7 +624,7 @@ TEST_P(CompressedChunkSkip, SkipSeeksCompressedChunksUnread) {
 INSTANTIATE_TEST_SUITE_P(Backends, CompressedChunkSkip, ::testing::Bool(),
                          [](const auto& info) { return info.param ? "mmap" : "stream"; });
 
-TEST(TraceWindow, CompressedMmapWindowedSimBitIdentical) {
+TEST(SegmentRegion, CompressedMmapWindowedSimBitIdentical) {
   const auto cfg = core::CoreConfig::paper_4wide_perfect();
   Trace t;
   {
@@ -595,12 +640,10 @@ TEST(TraceWindow, CompressedMmapWindowedSimBitIdentical) {
   save_trace(t, path, /*chunk_records=*/512, /*compress=*/true);
 
   VectorTraceSource vbase(t);
-  TraceWindow vwin(vbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rv = core::ReSimEngine(cfg, vwin).run();
+  const auto rv = run_region(cfg, vbase, /*skip=*/2100, SegmentedTraceSource::kAll);
 
   MmapTraceSource mbase(path);
-  TraceWindow mwin(mbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rm = core::ReSimEngine(cfg, mwin).run();
+  const auto rm = run_region(cfg, mbase, /*skip=*/2100, SegmentedTraceSource::kAll);
 
   EXPECT_EQ(rm.committed, rv.committed);
   EXPECT_EQ(rm.major_cycles, rv.major_cycles);

@@ -208,26 +208,15 @@ int cmd_stats(const Args& a) {
   const std::string path = get(a, "trace", "trace.rsim");
   std::string name;
   trace::TraceStats s;
-  switch (cfg.trace_backend) {
-    case core::TraceBackend::kStream: {
-      // Constant-memory pass: one decoded chunk at a time.
-      trace::FileTraceSource src(path);
-      name = src.trace_name();
-      s = trace::analyze(src);
-      break;
-    }
-    case core::TraceBackend::kMmap: {
-      trace::MmapTraceSource src(path);
-      name = src.trace_name();
-      s = trace::analyze(src);
-      break;
-    }
-    case core::TraceBackend::kMemory: {
-      const trace::Trace t = trace::load_trace(path);
-      name = t.name;
-      s = trace::analyze(t);
-      break;
-    }
+  if (cfg.trace_backend == core::TraceBackend::kMemory) {
+    const trace::Trace t = trace::load_trace(path);
+    name = t.name;
+    s = trace::analyze(t);
+  } else {
+    // Constant-memory pass: one decoded chunk at a time.
+    const auto src = driver::open_trace_file(path, cfg.trace_backend);
+    name = src->trace_name();
+    s = trace::analyze(*src);
   }
   std::cout << name << ": " << s.summary() << '\n'
             << "  loads " << s.load_records << ", stores " << s.store_records
@@ -245,53 +234,39 @@ int cmd_sim(const Args& a) {
   const std::uint64_t warmup = get_u64(a, "warmup", 0);
   const bool windowed = skip != 0 || warmup != 0 || has(a, "max-records");
   // --max-records caps the TOTAL simulated window (warm-up included), so
-  // the flag means what it says; TraceWindow's third parameter counts
-  // records after warm-up.
-  const std::uint64_t max_records =
-      has(a, "max-records") ? get_u64(a, "max-records", 0) : trace::TraceWindow::kAll;
+  // the flag means what it says.
+  const std::uint64_t max_records = has(a, "max-records")
+                                        ? get_u64(a, "max-records", 0)
+                                        : trace::SegmentedTraceSource::kAll;
   if (max_records < warmup) {  // kAll compares greater than any warmup
     throw std::invalid_argument(
         "--max-records caps the total window (warm-up included) and must be >= --warmup");
   }
-  const std::uint64_t simulate = max_records == trace::TraceWindow::kAll
-                                     ? trace::TraceWindow::kAll
-                                     : max_records - warmup;
 
   // trace.backend (--backend, or the --stream shorthand) picks how the
-  // file is read: decoded up front (memory), chunk-streamed in O(chunk)
-  // RSS (stream), or mapped and decoded in place (mmap). All three
-  // produce bit-identical SimResults.
+  // file is read: decoded up front (memory), or one chunk at a time by
+  // the file reader, through read() in O(chunk) RSS (stream) or from a
+  // mapping (mmap). All three produce bit-identical SimResults.
   trace::Trace t;
   std::optional<trace::VectorTraceSource> vec;
-  std::optional<trace::FileTraceSource> file;
-  std::optional<trace::MmapTraceSource> mapped;
+  std::unique_ptr<trace::FileTraceSource> file;
   std::string name;
   trace::TraceSource* base = nullptr;
-  switch (cfg.trace_backend) {
-    case core::TraceBackend::kStream:
-      file.emplace(path);
-      name = file->trace_name();
-      base = &*file;
-      break;
-    case core::TraceBackend::kMmap:
-      mapped.emplace(path);
-      name = mapped->trace_name();
-      base = &*mapped;
-      break;
-    case core::TraceBackend::kMemory:
-      t = trace::load_trace(path);
-      name = t.name;
-      vec.emplace(t);
-      base = &*vec;
-      break;
+  if (cfg.trace_backend == core::TraceBackend::kMemory) {
+    t = trace::load_trace(path);
+    name = t.name;
+    vec.emplace(t);
+    base = &*vec;
+  } else {
+    file = driver::open_trace_file(path, cfg.trace_backend);
+    name = file->trace_name();
+    base = file.get();
   }
   // Sampled execution (sample.windows > 0 or --plan FILE) replaces the
   // single --skip/--warmup window with the plan's own windows.
   const bool sampled = cfg.sample.windows > 0 || has(a, "plan");
   if (sampled && windowed) {
-    throw std::invalid_argument(
-        "--skip/--warmup/--max-records describe one window; sampled execution "
-        "(sample.windows > 0 or --plan) places its own windows");
+    throw std::invalid_argument(driver::kWindowedSamplingError);
   }
   if (has(a, "intervals") && cfg.sample.interval_insts == 0) {
     throw std::invalid_argument(
@@ -300,8 +275,14 @@ int cmd_sim(const Args& a) {
   core::IntervalRecorder intervals(cfg.sample.interval_insts);
   core::IntervalRecorder* irec = cfg.sample.interval_insts > 0 ? &intervals : nullptr;
 
-  std::optional<trace::TraceWindow> win;
-  if (windowed) win.emplace(*base, skip, warmup, simulate);
+  // One region: fast-forward past the skip (whole chunks seeked unread
+  // on the file backends), then one segment of warm-up + measured records.
+  std::optional<trace::SegmentedTraceSource> win;
+  if (windowed) {
+    win.emplace(*base);
+    (void)win->skip_gap(skip);
+    win->open_segment(max_records);
+  }
   trace::TraceSource& src = win ? static_cast<trace::TraceSource&>(*win) : *base;
 
   const unsigned sched_latency =
@@ -342,7 +323,8 @@ int cmd_sim(const Args& a) {
     if (win && warmup > 0) {
       // ChampSim-style region run: snapshot at the warm-up boundary so the
       // measured region's IPC excludes cold-start transients.
-      while (!win->warmup_done() && eng.step_major_cycle()) {
+      while (win->records_consumed() < warmup && win->peek() != nullptr &&
+             eng.step_major_cycle()) {
       }
       const auto w = eng.result();
       warm_committed = w.committed;
@@ -372,11 +354,9 @@ int cmd_sim(const Args& a) {
     if (windowed) {
       std::cout << "window: skipped " << skip << " records, warm-up " << warmup
                 << ", simulated " << r.trace_records << " records\n";
-      const std::uint64_t jumped = file   ? file->chunks_skipped()
-                                   : mapped ? mapped->chunks_skipped()
-                                            : 0;
-      if (file || mapped) {
-        std::cout << "window: chunk-skip seek jumped " << jumped << " chunks unread\n";
+      if (file) {
+        std::cout << "window: chunk-skip seek jumped " << file->chunks_skipped()
+                  << " chunks unread\n";
       }
     }
     if (win && warmup > 0) {
