@@ -133,7 +133,9 @@ void ChunkDecoder::decode(std::uint64_t n, std::vector<TraceRecord>& out) {
                   " of " + path_);
   }
   if (delta_on_) {
-    for (auto& r : out) delta_.unfilter(r);
+    DeltaCodec delta = delta_;  // a local the loop can keep in registers
+    for (auto& r : out) delta.unfilter(r);
+    delta_ = delta;
   }
 }
 
