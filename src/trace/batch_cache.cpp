@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-
 namespace resim::trace {
 
 namespace {
@@ -173,8 +172,8 @@ std::shared_ptr<const RecordBatch> SharedBatchCache::acquire(std::size_t chunk_i
 
 std::shared_ptr<const RecordBatch> SharedBatchCache::decode_chunk(std::size_t idx) {
   const ChunkInfo& info = chunks_[idx];
-  dec_.open(file_.bytes(info.payload_offset, info.header.payload_bytes, encoded_), info.header,
-            idx, info.first_record);
+  dec_.open(file_.bytes(info.payload_offset, info.header.payload_bytes, encoded_),
+            info.header, idx, info.first_record);
   dec_.decode(info.header.record_count, recs_);
 
   auto batch = std::make_shared<RecordBatch>();

@@ -100,7 +100,7 @@ void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_inde
 
 void ChunkDecoder::open(std::span<const std::uint8_t> stored, const ChunkHeader& ch,
                         std::uint64_t chunk_index, std::uint64_t first_record) {
-  br_.emplace(chunk_raw_payload(stored, ch, chunk_index, scratch_, path_));
+  br_ = BitReader(chunk_raw_payload(stored, ch, chunk_index, scratch_, path_));
   delta_ = DeltaCodec{};  // the v4 filter state is chunk-local
   delta_on_ = ch.delta_filtered();
   left_ = ch.record_count;
@@ -109,7 +109,7 @@ void ChunkDecoder::open(std::span<const std::uint8_t> stored, const ChunkHeader&
 }
 
 void ChunkDecoder::open_v1(std::span<const std::uint8_t> payload, std::uint64_t records) {
-  br_.emplace(payload);
+  br_ = BitReader(payload);
   delta_on_ = false;
   left_ = records;
   next_record_ = 0;
@@ -119,10 +119,10 @@ void ChunkDecoder::open_v1(std::span<const std::uint8_t> payload, std::uint64_t 
 void ChunkDecoder::decode(std::uint64_t n, std::vector<TraceRecord>& out) {
   out.clear();
   out.reserve(n);  // no-op once the buffer has held a chunk: capacity is reused
-  decode_records(*br_, n, next_record_, out, "load_trace", suffix_);
+  decode_records(br_, n, next_record_, out, "load_trace", suffix_);
   next_record_ += n;
   left_ -= n;
-  if (left_ == 0 && br_->bits_remaining() >= 8) {
+  if (left_ == 0 && br_.bits_remaining() >= 8) {
     // Only byte-alignment padding may follow the last record; a whole
     // spare byte means the framing lies about the record count.
     throw std::runtime_error(

@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -230,7 +229,7 @@ class ChunkDecoder {
   std::string path_;
   std::string suffix_;                ///< " in <path>" for decode_records
   std::vector<std::uint8_t> scratch_; ///< LZ output (reused)
-  std::optional<BitReader> br_;
+  BitReader br_{{}};                  ///< cursor into the open chunk
   DeltaCodec delta_;                  ///< v4 state, reset at every open()
   bool delta_on_ = false;
   std::uint64_t left_ = 0;
