@@ -23,10 +23,10 @@
 // bits_consumed()/records_consumed() count only records handed through
 // segments — gap records never appear in the consumer's totals, so an
 // engine run over a region reports the region's own trace statistics.
-// inner_position() reports the absolute
-// record cursor of the inner source (its records_consumed(), which by
-// the TraceSource contract includes skipped records), which is what the
-// sampling planner uses to aim skip_gap() at absolute window starts.
+// inner_position() reports the absolute record cursor of the inner
+// source (its records_consumed(), which by the TraceSource contract
+// includes skipped records), which is what the sampling planner uses to
+// aim skip_gap() at absolute window starts.
 #ifndef RESIM_TRACE_SEGMENT_H
 #define RESIM_TRACE_SEGMENT_H
 
