@@ -321,25 +321,45 @@ std::vector<driver::SimJob> same_workload_grid(core::TraceBackend backend,
   return jobs;
 }
 
+/// The same grid, sampled over a longer trace in a v4 container: three
+/// windows with functional warmup, and gaps wide enough to hop whole
+/// chunks.
+std::vector<driver::SimJob> sampled_grid(core::TraceBackend backend, bool shared_decode) {
+  auto jobs = same_workload_grid(backend, shared_decode);
+  for (auto& job : jobs) {
+    job.gen.max_insts = 30000;
+    job.config.trace_prefilter = true;
+    job.config.sample.windows = 3;
+    job.config.sample.window_insts = 2000;
+    job.config.sample.warmup_insts = 1500;
+  }
+  return jobs;
+}
+
 TEST(BatchRunnerSharedDecode, CsvByteIdenticalAcrossThreadsBackendsAndSharing) {
   // The tentpole's outer contract: sweep CSV bytes never depend on -j,
   // on the trace backend, or on whether the shared producer engaged.
-  std::string reference;
-  for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
-                             core::TraceBackend::kMmap}) {
-    for (const bool shared : {true, false}) {
-      for (const unsigned threads : {1u, 4u}) {
-        const driver::BatchRunner runner(threads);
-        const auto results = runner.run(same_workload_grid(backend, shared));
-        std::ostringstream csv;
-        driver::write_csv(csv, results);
-        if (reference.empty()) {
-          reference = csv.str();
-          ASSERT_FALSE(reference.empty());
-        } else {
-          EXPECT_EQ(csv.str(), reference)
-              << "backend=" << static_cast<int>(backend) << " shared=" << shared
-              << " threads=" << threads;
+  // The sampled grid runs functional warmup and SegmentedTraceSource
+  // over a v4 container's BatchTraceSource against private sources.
+  for (const bool sampled : {false, true}) {
+    std::string reference;
+    for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
+                               core::TraceBackend::kMmap}) {
+      for (const bool shared : {true, false}) {
+        for (const unsigned threads : {1u, 4u}) {
+          const driver::BatchRunner runner(threads);
+          const auto results = runner.run(sampled ? sampled_grid(backend, shared)
+                                                  : same_workload_grid(backend, shared));
+          std::ostringstream csv;
+          driver::write_csv(csv, results);
+          if (reference.empty()) {
+            reference = csv.str();
+            ASSERT_FALSE(reference.empty());
+          } else {
+            EXPECT_EQ(csv.str(), reference)
+                << "sampled=" << sampled << " backend=" << static_cast<int>(backend)
+                << " shared=" << shared << " threads=" << threads;
+          }
         }
       }
     }
