@@ -12,6 +12,7 @@
 #define RESIM_BASELINE_COUPLED_H
 
 #include <deque>
+#include <stdexcept>
 
 #include "core/engine.hpp"
 #include "core/perf.hpp"
@@ -31,7 +32,9 @@ class StreamingTraceSource final : public trace::TraceSource {
   }
 
   trace::TraceRecord next() override {
-    fill();
+    if (peek() == nullptr) {
+      throw std::out_of_range("StreamingTraceSource::next: past end of trace");
+    }
     trace::TraceRecord r = buffer_.front();
     buffer_.pop_front();
     ++records_;

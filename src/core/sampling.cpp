@@ -6,7 +6,7 @@
 //
 // Functional warmup mirrors the architectural (correct-path) effects of
 // Fetch + Commit without any timing: the implicit-PC walk and branch
-// resync follow fetch_cycle(), predictor train-at-commit follows
+// resync follow stage_fetch(), predictor train-at-commit follows
 // stage_commit(), I-cache touches happen at the fetch PC and D-cache
 // touches at the effective address. Wrong-path (tagged) records are
 // discarded untouched — in detailed mode they only perturb timing and
@@ -58,12 +58,12 @@ std::uint64_t ReSimEngine::functional_warmup(std::uint64_t max_records) {
 
   Addr pc = fetch_pc_;
   std::uint64_t done = 0;
-  while (done < max_records && fetch_peek() != nullptr) {
-    const trace::TraceRecord rec = fetch_next();
+  while (done < max_records && src_.peek() != nullptr) {
+    const trace::TraceRecord rec = src_.next();
     ++done;
     if (rec.wrong_path) continue;  // tagged: no architectural effect
 
-    // Implicit-PC walk with branch resync, as in fetch_cycle().
+    // Implicit-PC walk with branch resync, as in stage_fetch().
     if (rec.is_branch() && rec.pc != pc) pc = rec.pc;
     (void)mem_.ifetch(pc);
 
@@ -86,8 +86,6 @@ std::uint64_t ReSimEngine::functional_warmup(std::uint64_t max_records) {
       pc += kInstBytes;
     }
   }
-  flush_view();
-
   fetch_pc_ = pc;
   if (done != 0) stats_.counter("sample.warmup_records").add(done);
   return done;

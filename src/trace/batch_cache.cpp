@@ -105,8 +105,7 @@ bool SharedBatchCache::try_evict_locked() {
   return true;
 }
 
-std::shared_ptr<const RecordBatch> SharedBatchCache::acquire(std::size_t chunk_idx,
-                                                             std::size_t id) {
+SharedBatchCache::Batch SharedBatchCache::acquire(std::size_t chunk_idx, std::size_t id) {
   const std::uint64_t idx = chunk_idx;
   for (;;) {
     {
@@ -147,7 +146,7 @@ std::shared_ptr<const RecordBatch> SharedBatchCache::acquire(std::size_t chunk_i
     // Decode outside the lock: cache hits and position updates proceed
     // while this thread bit-unpacks. producing_ serializes use of the
     // stream and scratch buffers across producers.
-    std::shared_ptr<const RecordBatch> batch;
+    Batch batch;
     try {
       batch = decode_chunk(chunk_idx);
     } catch (...) {
@@ -170,16 +169,13 @@ std::shared_ptr<const RecordBatch> SharedBatchCache::acquire(std::size_t chunk_i
   }
 }
 
-std::shared_ptr<const RecordBatch> SharedBatchCache::decode_chunk(std::size_t idx) {
+SharedBatchCache::Batch SharedBatchCache::decode_chunk(std::size_t idx) {
   const ChunkInfo& info = chunks_[idx];
   dec_.open(file_.bytes(info.payload_offset, info.header.payload_bytes, encoded_),
             info.header, idx, info.first_record);
-  dec_.decode(info.header.record_count, recs_);
-
-  auto batch = std::make_shared<RecordBatch>();
-  batch->reserve(recs_.size());
-  for (const auto& r : recs_) batch->push(r);
-  return batch;
+  auto recs = std::make_shared<std::vector<TraceRecord>>();
+  dec_.decode(info.header.record_count, *recs);
+  return recs;
 }
 
 std::uint64_t SharedBatchCache::chunks_decoded() const {
@@ -229,34 +225,17 @@ bool BatchTraceSource::ensure_batch() {
 }
 
 const TraceRecord* BatchTraceSource::peek() {
-  if (!ensure_batch()) return nullptr;
-  batch_->get(pos_, cur_);
-  return &cur_;
+  return ensure_batch() ? &(*batch_)[pos_] : nullptr;
 }
 
 TraceRecord BatchTraceSource::next() {
-  if (peek() == nullptr) {
+  if (!ensure_batch()) {
     throw std::out_of_range("BatchTraceSource::next: past end of trace");
   }
-  bits_ += batch_->bits_at(pos_);
+  const TraceRecord& r = (*batch_)[pos_++];
   ++consumed_;
-  ++pos_;
-  return cur_;
-}
-
-BatchView BatchTraceSource::fetch_view() {
-  if (!ensure_batch()) return {};
-  return {batch_.get(), pos_, batch_->size() - pos_};
-}
-
-void BatchTraceSource::consume_view(std::size_t n) {
-  if (n == 0) return;
-  if (batch_ == nullptr || n > batch_->size() - pos_) {
-    throw std::logic_error("BatchTraceSource::consume_view: more than the view holds");
-  }
-  bits_ += batch_->bits_in(pos_, n);
-  consumed_ += n;
-  pos_ += n;
+  bits_ += encoded_bits(r);
+  return r;
 }
 
 std::uint64_t BatchTraceSource::skip(std::uint64_t n) {

@@ -6,8 +6,8 @@
 // LZ-expands) every chunk itself, so an N-point sweep pays N full
 // decodes of identical bytes. The cache turns that into a decode-once
 // pipeline: the first consumer to need a chunk becomes its producer,
-// decodes it into an immutable SoA RecordBatch (batch.hpp), and every
-// other consumer picks the batch up by shared_ptr.
+// decodes it into an immutable std::vector<TraceRecord> (a batch), and
+// every other consumer picks the batch up by shared_ptr.
 //
 // Memory stays bounded by `capacity` batches via LRU eviction with
 // backpressure:
@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "trace/batch.hpp"
 #include "trace/container.hpp"
 #include "trace/file_source.hpp"
 #include "trace/reader.hpp"
@@ -58,8 +57,11 @@ namespace resim::trace {
 
 class SharedBatchCache {
  public:
-  /// ~16 batches * <=4096 records * 29 B/record: a low-single-digit-MB
-  /// window per workload group.
+  /// One decoded chunk, shared read-only by every consumer.
+  using Batch = std::shared_ptr<const std::vector<TraceRecord>>;
+
+  /// ~16 batches * <=4096 records * sizeof(TraceRecord): a
+  /// low-single-digit-MB window per workload group.
   static constexpr std::size_t kDefaultCapacity = 16;
 
   /// Opens `path`, validates the container header, and scans the chunk
@@ -99,8 +101,7 @@ class SharedBatchCache {
   /// The decoded batch for chunk_idx: cache hit, or wait, or become the
   /// producer and decode it. Never returns null. Throws the container's
   /// std::runtime_error on a corrupt chunk.
-  [[nodiscard]] std::shared_ptr<const RecordBatch> acquire(std::size_t chunk_idx,
-                                                           std::size_t id);
+  [[nodiscard]] Batch acquire(std::size_t chunk_idx, std::size_t id);
 
   // --- decode-work observers (exact once all consumers are quiescent) ------
   [[nodiscard]] std::uint64_t chunks_decoded() const;
@@ -114,14 +115,14 @@ class SharedBatchCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const RecordBatch> batch;
+    Batch batch;
     std::uint64_t last_use = 0;
   };
 
-  /// Decodes chunk `idx` into a fresh batch. Touches file_/dec_/encoded_/
-  /// recs_, so the caller must hold the producer role (producing_ set
-  /// by this thread) — NOT the mutex; decode runs unlocked.
-  [[nodiscard]] std::shared_ptr<const RecordBatch> decode_chunk(std::size_t idx);
+  /// Decodes chunk `idx` into a fresh batch. Touches file_/dec_/encoded_,
+  /// so the caller must hold the producer role (producing_ set by this
+  /// thread) — NOT the mutex; decode runs unlocked.
+  [[nodiscard]] Batch decode_chunk(std::size_t idx);
 
   // Locked helpers (caller holds mu_).
   [[nodiscard]] std::uint64_t min_position_locked() const;
@@ -149,7 +150,6 @@ class SharedBatchCache {
 
   // Producer-only scratch, like file_ and dec_.
   std::vector<std::uint8_t> encoded_;  ///< chunk payload as stored
-  std::vector<TraceRecord> recs_;      ///< decode scratch (reused)
 
   // Handle-based stats plane: resolved once here, bumped under mu_.
   StatsRegistry stats_;
@@ -175,8 +175,6 @@ class BatchTraceSource final : public TraceSource {
   [[nodiscard]] const TraceRecord* peek() override;
   TraceRecord next() override;
   std::uint64_t skip(std::uint64_t n) override;
-  [[nodiscard]] BatchView fetch_view() override;
-  void consume_view(std::size_t n) override;
   [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
   [[nodiscard]] std::uint64_t records_consumed() const override { return consumed_; }
 
@@ -202,11 +200,9 @@ class BatchTraceSource final : public TraceSource {
   std::shared_ptr<SharedBatchCache> cache_;
   std::size_t id_;
 
-  std::shared_ptr<const RecordBatch> batch_;  ///< chunk chunk_'s batch, if acquired
-  std::size_t chunk_ = 0;                     ///< chunk the cursor is in / will acquire
-  std::size_t pos_ = 0;                       ///< next record within batch_
-
-  TraceRecord cur_{};  ///< peek() materialization target
+  SharedBatchCache::Batch batch_;  ///< chunk chunk_'s batch, if acquired
+  std::size_t chunk_ = 0;          ///< chunk the cursor is in / will acquire
+  std::size_t pos_ = 0;            ///< next record within batch_
 
   std::uint64_t consumed_ = 0;
   std::uint64_t bits_ = 0;

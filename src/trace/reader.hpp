@@ -1,20 +1,20 @@
-// TraceSource: the engine's pull interface to a record stream.
+// TraceSource: the engine's pull interface to a record stream — the one
+// fetch path: peek() the next decoded TraceRecord, next() to consume it.
 //
 // Implementations: the in-memory vector below (bulk simulation of
 // prepared traces, paper §I "traces prepared off-line"); the one .rsim
 // file reader, FileTraceSource (file_source.hpp: read() or mapped bytes,
-// one chunk decoded at a time); the shared-cache cursor BatchTraceSource
-// (batch_cache.hpp); the region adaptor SegmentedTraceSource
-// (segment.hpp); and the streaming source fed by a live trace generator
-// (the on-the-fly FAST-style coupling of §I/§VI) in
-// src/baseline/coupled.hpp.
+// one chunk decoded at a time); the cursor over chunks decoded once and
+// shared between sweep workers, BatchTraceSource (batch_cache.hpp); the
+// region adaptor SegmentedTraceSource (segment.hpp); and the streaming
+// source fed by a live trace generator (the on-the-fly FAST-style
+// coupling of §I/§VI) in src/baseline/coupled.hpp.
 #ifndef RESIM_TRACE_READER_H
 #define RESIM_TRACE_READER_H
 
 #include <cstdint>
 #include <stdexcept>
 
-#include "trace/batch.hpp"
 #include "trace/format.hpp"
 #include "trace/writer.hpp"
 
@@ -27,7 +27,8 @@ class TraceSource {
   /// Next record without consuming it; nullptr at end of stream.
   [[nodiscard]] virtual const TraceRecord* peek() = 0;
 
-  /// Consume and return the next record. Precondition: peek() != nullptr.
+  /// Consume and return the next record. At end of stream it throws
+  /// std::out_of_range and leaves the counters unchanged.
   virtual TraceRecord next() = 0;
 
   /// Consume and discard up to `n` records; returns how many were
@@ -45,24 +46,6 @@ class TraceSource {
       ++done;
     }
     return done;
-  }
-
-  /// Columnar fast path: the run of not-yet-consumed records the source
-  /// already holds decoded in SoA form (batch.hpp). The default is "no
-  /// view" — callers fall back to peek()/next(); sources backed by a
-  /// shared batch cache override it so the engine's fetch stage can walk
-  /// a whole chunk with one virtual call. A non-empty view stays valid
-  /// until the next mutating call; the caller reports the records it
-  /// actually used with consume_view(n <= count) — which performs the
-  /// same records/bits accounting as n calls to next() — before any
-  /// other call that advances the source.
-  [[nodiscard]] virtual BatchView fetch_view() { return {}; }
-
-  /// Consume `n` records of the view fetch_view() returned.
-  virtual void consume_view(std::size_t n) {
-    if (n != 0) {
-      throw std::logic_error("TraceSource::consume_view: no view outstanding");
-    }
   }
 
   /// Wire bits consumed so far (trace-throughput statistic, Table 3).
@@ -88,7 +71,10 @@ class VectorTraceSource final : public TraceSource {
   }
 
   TraceRecord next() override {
-    const TraceRecord& r = trace_.records.at(pos_++);
+    if (pos_ >= trace_.records.size()) {
+      throw std::out_of_range("VectorTraceSource::next: past end of trace");
+    }
+    const TraceRecord& r = trace_.records[pos_++];
     bits_ += encoded_bits(r);
     return r;
   }

@@ -12,7 +12,7 @@
 //                     (chunk-seeking skip(); nothing is decoded or
 //                     counted here)
 //   open_segment(n)   grant n more records (kAll: the rest of the
-//                     trace); peek()/next()/views flow until the
+//                     trace); peek()/next() flow until the
 //                     allowance is used up (then EOF)
 //   close_segment()   revoke the unused remainder (hard segment end)
 //
@@ -59,28 +59,6 @@ class SegmentedTraceSource final : public TraceSource {
     return r;
   }
 
-  /// Forwards the inner columnar fast path, truncated at the segment
-  /// allowance so a view can never leak records past the segment.
-  [[nodiscard]] BatchView fetch_view() override {
-    if (remaining_ == 0) return {};
-    BatchView v = inner_.fetch_view();
-    if (v.count > remaining_) v.count = static_cast<std::size_t>(remaining_);
-    last_view_ = v;
-    return v;
-  }
-
-  void consume_view(std::size_t n) override {
-    if (n == 0) return;
-    if (last_view_.batch == nullptr || n > last_view_.count) {
-      throw std::logic_error("SegmentedTraceSource::consume_view: more than the view holds");
-    }
-    bits_ += last_view_.batch->bits_in(last_view_.first, n);
-    remaining_ -= n;
-    consumed_ += n;
-    last_view_ = {};
-    inner_.consume_view(n);
-  }
-
   [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
   [[nodiscard]] std::uint64_t records_consumed() const override { return consumed_; }
   [[nodiscard]] std::uint64_t total_records() const override { return inner_.total_records(); }
@@ -97,7 +75,6 @@ class SegmentedTraceSource final : public TraceSource {
   std::uint64_t close_segment() {
     const std::uint64_t unused = remaining_;
     remaining_ = 0;
-    last_view_ = {};
     return unused;
   }
 
@@ -122,7 +99,6 @@ class SegmentedTraceSource final : public TraceSource {
   std::uint64_t remaining_ = 0;  ///< current segment allowance
   std::uint64_t consumed_ = 0;   ///< records handed through segments
   std::uint64_t bits_ = 0;
-  BatchView last_view_{};  ///< view handed out, for consume_view accounting
 };
 
 }  // namespace resim::trace

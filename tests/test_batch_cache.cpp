@@ -1,7 +1,7 @@
 // SharedBatchCache / BatchTraceSource: decode-once fan-out identity.
 //
 // The bar for every test here is byte-identity: reading a trace through
-// the shared-batch plane (SoA batches, one producer, N consumers) must
+// the shared-batch plane (decoded chunks, one producer, N consumers) must
 // be indistinguishable — records, counters, engine results, sweep CSVs —
 // from the private per-job sources it replaces.
 #include <atomic>
@@ -72,36 +72,6 @@ TEST(BatchTraceSource, DrainMatchesFileSourceAcrossContainerVersions) {
   }
 }
 
-TEST(BatchTraceSource, ViewDrainMatchesScalarDrainExactly) {
-  const Trace t = generate("parser", 5000);
-  const std::string path = save_flavor(t, "views", "v3");
-
-  BatchTraceSource scalar(std::make_shared<SharedBatchCache>(path));
-  BatchTraceSource views(std::make_shared<SharedBatchCache>(path));
-  std::vector<TraceRecord> scalar_recs;
-  while (scalar.peek() != nullptr) scalar_recs.push_back(scalar.next());
-
-  std::size_t i = 0;
-  for (;;) {
-    const BatchView v = views.fetch_view();
-    if (v.count == 0) {
-      ASSERT_EQ(views.peek(), nullptr);
-      break;
-    }
-    for (std::size_t k = 0; k < v.count; ++k) {
-      TraceRecord r;
-      v.batch->get(v.first + k, r);
-      ASSERT_LT(i, scalar_recs.size());
-      ASSERT_TRUE(records_equal(r, scalar_recs[i++]));
-    }
-    views.consume_view(v.count);
-  }
-  EXPECT_EQ(i, scalar_recs.size());
-  EXPECT_EQ(views.records_consumed(), scalar.records_consumed());
-  EXPECT_EQ(views.bits_consumed(), scalar.bits_consumed());
-  std::remove(path.c_str());
-}
-
 TEST(BatchTraceSource, SkipAndRewindMatchFileSourceAccounting) {
   const Trace t = generate("vpr", 8000);
   const std::string path = save_flavor(t, "skip", "v3", /*chunk_records=*/256);
@@ -133,15 +103,14 @@ TEST(BatchTraceSource, SkipAndRewindMatchFileSourceAccounting) {
   std::remove(path.c_str());
 }
 
-TEST(BatchTraceSource, SkipPastEndAndEmptyViewContract) {
+TEST(BatchTraceSource, SkipPastEndContract) {
   const Trace t = generate("gzip", 1000);
   const std::string path = save_flavor(t, "skipend", "v2");
   BatchTraceSource src(std::make_shared<SharedBatchCache>(path));
   EXPECT_EQ(src.skip(~std::uint64_t{0}), t.records.size());
+  EXPECT_EQ(src.records_consumed(), t.records.size());
   EXPECT_EQ(src.peek(), nullptr);
-  EXPECT_EQ(src.fetch_view().count, 0u);
-  src.consume_view(0);  // zero-record consume is always legal
-  EXPECT_THROW(src.consume_view(1), std::logic_error);
+  EXPECT_EQ(src.skip(1), 0u);
   std::remove(path.c_str());
 }
 

@@ -85,29 +85,31 @@ TEST(SegmentedTraceSource, SkipGapRequiresClosedSegment) {
   ASSERT_TRUE(records_equal(seg.next(), t.records[100]));
 }
 
-TEST(SegmentedTraceSource, ViewsAreTruncatedAtTheAllowance) {
-  // BatchTraceSource is the columnar fetch_view() producer; the segment
-  // adaptor must clip its views at the allowance.
+TEST(SegmentedTraceSource, SegmentOverBatchSourceEndsAtTheAllowance) {
+  // A 7-record segment inside a 512-record chunk of shared batches ends
+  // at the allowance, not at the chunk edge.
   const auto t = make_trace("gzip", 2000);
-  const std::string path = temp_path("seg_views.rsim");
+  const std::string path = temp_path("seg_batches.rsim");
   trace::save_trace(t, path, /*chunk_records=*/512);
   trace::BatchTraceSource base(std::make_shared<trace::SharedBatchCache>(path));
   trace::SegmentedTraceSource seg(base);
 
-  EXPECT_EQ(seg.fetch_view().batch, nullptr);  // closed segment: no view
+  EXPECT_EQ(seg.peek(), nullptr);  // closed segment: nothing to fetch
   seg.open_segment(7);
-  auto v = seg.fetch_view();
-  ASSERT_NE(v.batch, nullptr);
-  EXPECT_EQ(v.count, 7u);  // chunk holds 512, the allowance clips it
-  seg.consume_view(v.count);
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < 7; ++i) {
+    ASSERT_NE(seg.peek(), nullptr);
+    const auto r = seg.next();
+    ASSERT_TRUE(records_equal(r, t.records[i]));
+    bits += trace::encoded_bits(r);
+  }
+  EXPECT_EQ(seg.peek(), nullptr);
+  EXPECT_THROW((void)seg.next(), std::out_of_range);
   EXPECT_EQ(seg.records_consumed(), 7u);
   EXPECT_EQ(seg.remaining(), 0u);
-  EXPECT_EQ(seg.fetch_view().batch, nullptr);
-  // bits accounting matches the scalar path record for record.
-  trace::VectorTraceSource check(t);
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < 7; ++i) bits += trace::encoded_bits(check.next());
   EXPECT_EQ(seg.bits_consumed(), bits);
+  EXPECT_EQ(base.records_consumed(), 7u);
+  EXPECT_EQ(base.bits_consumed(), bits);
   std::remove(path.c_str());
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/coupled.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "driver/batch_runner.hpp"
@@ -656,8 +657,8 @@ TEST(SegmentRegion, CompressedMmapWindowedSimBitIdentical) {
 
 // ---- cross-reader differential ---------------------------------------------
 //
-// One seeded random sequence of peek / next / skip / rewind / view
-// consumption drives every container reader in lockstep — read mode,
+// One seeded random sequence of peek / next / skip / rewind / drain
+// drives every container reader in lockstep — read mode,
 // mapped mode and a shared-cache cursor — over v1-v4 containers with
 // small chunks, so skips land mid-chunk, on chunk edges and past the
 // end, and rewinds hit every state. After every step all readers must
@@ -679,26 +680,10 @@ DiffReader diff_reader(std::string name, std::unique_ptr<T> p) {
           [raw] { return raw->chunks_skipped(); }};
 }
 
-/// Consumes up to `n` records: through fetch_view()/consume_view() where
-/// the reader offers a view, through peek()/next() where it does not.
+/// Consumes up to `n` records through peek()/next().
 std::vector<TraceRecord> take(TraceSource& src, std::uint64_t n) {
   std::vector<TraceRecord> out;
-  while (out.size() < n) {
-    const BatchView v = src.fetch_view();
-    if (v.empty()) {
-      if (src.peek() == nullptr) break;
-      out.push_back(src.next());
-      continue;
-    }
-    const std::size_t k =
-        static_cast<std::size_t>(std::min<std::uint64_t>(v.count, n - out.size()));
-    for (std::size_t i = 0; i < k; ++i) {
-      TraceRecord r;
-      v.batch->get(v.first + i, r);
-      out.push_back(r);
-    }
-    src.consume_view(k);
-  }
+  while (out.size() < n && src.peek() != nullptr) out.push_back(src.next());
   return out;
 }
 
@@ -743,9 +728,7 @@ TEST(CrossReader, RandomOpSequencesAgreeOnEveryContainerVersion) {
             break;
           case 2:
           case 3:  // a run of next() calls
-            for (std::uint64_t k = 0; k < n % kChunk && src.peek() != nullptr; ++k) {
-              got[i].push_back(src.next());
-            }
+            got[i] = take(src, n % kChunk);
             break;
           case 4:
           case 5:
@@ -755,7 +738,7 @@ TEST(CrossReader, RandomOpSequencesAgreeOnEveryContainerVersion) {
           case 7:
             readers[i].rewind();
             break;
-          default:  // views where offered
+          default:  // a long drain, possibly past the end
             got[i] = take(src, n);
             break;
         }
@@ -795,6 +778,51 @@ TEST(CrossReader, RandomOpSequencesAgreeOnEveryContainerVersion) {
     readers.clear();
     std::remove(path.c_str());
   }
+}
+
+// ---- past-the-end contract ---------------------------------------------------
+
+TEST(TraceSourceContract, NextPastEndThrowsAndLeavesCountersUnchanged) {
+  // Every TraceSource: once drained, next() throws std::out_of_range and
+  // neither counter moves, however often it is called.
+  TraceGenConfig g;
+  g.max_insts = 300;
+  const Trace t = TraceGenerator(workload::make_workload("gzip"), g).generate();
+  const std::string path = temp_path("past_end.rsim");
+  save_trace(t, path, /*chunk_records=*/64);
+
+  const auto check = [&](TraceSource& src, const std::string& who) {
+    std::uint64_t n = 0;
+    while (src.peek() != nullptr) {
+      (void)src.next();
+      ++n;
+    }
+    EXPECT_EQ(n, t.records.size()) << who;
+    const std::uint64_t records = src.records_consumed();
+    const std::uint64_t bits = src.bits_consumed();
+    EXPECT_EQ(records, t.records.size()) << who;
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_THROW((void)src.next(), std::out_of_range) << who;
+      EXPECT_EQ(src.records_consumed(), records) << who;
+      EXPECT_EQ(src.bits_consumed(), bits) << who;
+      EXPECT_EQ(src.peek(), nullptr) << who;
+    }
+  };
+
+  VectorTraceSource vec(t);
+  check(vec, "vector");
+  FileTraceSource file(path);
+  check(file, "file");
+  BatchTraceSource batch(std::make_shared<SharedBatchCache>(path));
+  check(batch, "batch");
+  VectorTraceSource inner(t);
+  SegmentedTraceSource seg(inner);
+  seg.open_segment(SegmentedTraceSource::kAll);
+  check(seg, "segmented");
+  TraceGenerator live(workload::make_workload("gzip"), g);
+  baseline::StreamingTraceSource streaming(live);
+  check(streaming, "streaming");
+  std::remove(path.c_str());
 }
 
 // ---- compression ratio on suite workloads ---------------------------------
