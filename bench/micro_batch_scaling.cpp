@@ -145,20 +145,28 @@ int main(int argc, char** argv) {
                       " same-workload jobs over one LZ+delta .rsim, " +
                       std::to_string(max_threads) + " threads");
   const driver::BatchRunner fan_runner(max_threads);
-  const auto fan_measure = [&](bool shared) {
-    for (auto& job : fan_jobs) job.config.trace_shared_decode = shared;
+  // The private side reads per-job copies of the fan file: jobs naming
+  // different files never group, so each decodes every chunk itself.
+  std::vector<driver::SimJob> private_jobs = fan_jobs;
+  for (std::size_t i = 0; i < private_jobs.size(); ++i) {
+    private_jobs[i].trace_path = fan_path + "." + std::to_string(i);
+    std::filesystem::copy_file(fan_path, private_jobs[i].trace_path,
+                               std::filesystem::copy_options::overwrite_existing);
+  }
+  const auto fan_measure = [&](const std::vector<driver::SimJob>& measured) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto results = fan_runner.run(fan_jobs);
+    const auto results = fan_runner.run(measured);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     std::uint64_t committed = 0;
     for (const auto& r : results) committed += r.result.committed;
     return std::pair<double, std::uint64_t>(
-        static_cast<double>(fan_jobs.size()) / secs, committed);
+        static_cast<double>(measured.size()) / secs, committed);
   };
-  const auto [private_jps, private_committed] = fan_measure(false);
-  const auto [shared_jps, shared_committed] = fan_measure(true);
+  const auto [private_jps, private_committed] = fan_measure(private_jobs);
+  const auto [shared_jps, shared_committed] = fan_measure(fan_jobs);
   std::filesystem::remove(fan_path);
+  for (const auto& job : private_jobs) std::filesystem::remove(job.trace_path);
   if (shared_committed != private_committed) {
     std::cerr << "DETERMINISM VIOLATION: shared decode committed " << shared_committed
               << " vs private " << private_committed << '\n';

@@ -213,10 +213,6 @@ ParamRegistry::ParamRegistry() {
   enum_p("trace.backend", trace_backend_names(),
          RESIM_ACC(trace_backend, core::TraceBackend),
          "worker trace source: decoded in memory, chunk-streamed, or mmap'd");
-  bool_p("trace.shared_decode", RESIM_ACC(trace_shared_decode, bool),
-         "share one decoded-batch producer across same-trace sweep jobs");
-  bool_p("trace.prefilter", RESIM_ACC(trace_prefilter, bool),
-         "delta-filter PCs/addresses ahead of LZ when round-tripping temp traces");
 
   // --- serve.* (host-side; resim_cli serve daemon knobs) -------------------
   uint_p("serve.max_pending", 1, 1u << 16, false,

@@ -92,18 +92,6 @@ struct CoreConfig {
   /// TraceBackend above and docs/CONFIG.md).
   TraceBackend trace_backend = TraceBackend::kMemory;
 
-  /// Share one decoded-batch producer across batch-runner jobs that
-  /// read the same trace (trace/batch_cache.hpp), so an N-point sweep
-  /// decodes each chunk once instead of N times. Host-side only: results
-  /// are byte-identical with it on or off.
-  bool trace_shared_decode = true;
-
-  /// Write the v4 delta pre-filter in front of the LZ stage when the
-  /// batch runner round-trips records through a temp .rsim
-  /// (docs/TRACE_FORMAT.md). Host-side only: the filter is exactly
-  /// invertible, so results never change — only the temp file shrinks.
-  bool trace_prefilter = false;
-
   /// `resim_cli serve` backpressure bound: requests queued but not yet
   /// executing before the daemon answers `busy` (docs/SERVE.md).
   /// Host-side only: simulation results never depend on it.

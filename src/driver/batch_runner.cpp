@@ -38,24 +38,6 @@ SimJob SimJob::sweep_point(std::string label, std::string workload,
   return job;
 }
 
-void use_streamed_sources(std::vector<SimJob>& jobs, const std::string& tag) {
-  const std::string prefix = (std::filesystem::temp_directory_path() / tag).string() +
-                             "_" + std::to_string(::getpid()) + "_";
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!jobs[i].trace_path.empty()) continue;  // already streams from disk
-    if (jobs[i].trace) {
-      // Regenerating from workload+gen would silently simulate a
-      // different record stream than the prepared trace.
-      throw std::invalid_argument(
-          "use_streamed_sources: job '" + jobs[i].label +
-          "' carries a prepared trace; streaming applies to generated jobs only");
-    }
-    jobs[i].source =
-        streamed_gen_source(jobs[i].workload, jobs[i].gen,
-                            prefix + std::to_string(i) + ".rsim");
-  }
-}
-
 std::unique_ptr<trace::FileTraceSource> open_trace_file(const std::string& path,
                                                         core::TraceBackend backend) {
   return std::make_unique<trace::FileTraceSource>(
@@ -65,8 +47,8 @@ std::unique_ptr<trace::FileTraceSource> open_trace_file(const std::string& path,
 
 namespace {
 
-/// Worker-private temp .rsim path: pid + a process-wide counter, so
-/// concurrent processes and worker threads never collide.
+/// Temp .rsim path: pid + a process-wide counter, so concurrent
+/// processes and worker threads never collide.
 std::string private_temp_path() {
   static std::atomic<std::uint64_t> counter{0};
   // Built with += to sidestep GCC 12's -Wrestrict false positive
@@ -78,23 +60,6 @@ std::string private_temp_path() {
   p += std::to_string(counter.fetch_add(1));
   p += ".rsim";
   return p;
-}
-
-/// Round-trips already-decoded records through a temp file and reopens
-/// them via `backend`; the codec is lossless, so the record stream is
-/// unchanged. Unlinks the temp file as soon as the source opens.
-std::unique_ptr<trace::TraceSource> roundtrip_source(const trace::Trace& t,
-                                                     core::TraceBackend backend) {
-  const std::string path = private_temp_path();
-  trace::save_trace(t, path);
-  try {
-    auto src = open_trace_file(path, backend);
-    std::remove(path.c_str());  // the open stream / mapping keeps the inode alive
-    return src;
-  } catch (...) {
-    std::remove(path.c_str());  // don't leak the temp file on open failure
-    throw;
-  }
 }
 
 /// Deterministic serialization of everything that decides a generated
@@ -120,66 +85,109 @@ std::string gen_group_key(const std::string& workload, const trace::TraceGenConf
   return k;
 }
 
-/// One shared-decode job group: the producer state every member reads
-/// through, initialized exactly once by the first member to run.
+/// The group a job joins; "" for a job that reads alone (a memory-backend
+/// prepared-trace job already shares the decoded records by construction).
+std::string group_key(const SimJob& j) {
+  const bool memory = j.config.trace_backend == core::TraceBackend::kMemory;
+  if (!j.trace_path.empty()) return (memory ? "m:path:" : "f:path:") + j.trace_path;
+  if (j.trace) {
+    if (memory) return {};
+    return "f:ptr:" + std::to_string(reinterpret_cast<std::uintptr_t>(j.trace.get()));
+  }
+  return (memory ? "m:gen:" : "f:gen:") + gen_group_key(j.workload, j.gen);
+}
+
+/// One job group: the record stream its members read and the producer
+/// state they share, initialized exactly once by the first member to run.
 struct GroupShare {
+  explicit GroupShare(const SimJob& j)
+      : backend(j.config.trace_backend),
+        src_path(j.trace_path),
+        src_trace(j.trace),
+        workload(j.workload),
+        gen(j.gen) {}
+
   std::once_flag once;
   std::exception_ptr init_error;  ///< init failed: every member rethrows it
 
   // Planned before the pool starts:
-  core::TraceBackend backend = core::TraceBackend::kMemory;
-  bool prefilter = false;  ///< first member's trace.prefilter (temp-file groups)
-  std::size_t members = 0;
-  std::size_t expected = 0;  ///< min(members, pool threads)
-  std::string src_path;      ///< group streams this existing .rsim ("" otherwise)
-  std::shared_ptr<const trace::Trace> src_trace;  ///< group shares this prepared trace
+  core::TraceBackend backend;  ///< first member's; memory and file jobs never share
+  std::string src_path;        ///< group reads this existing .rsim ("" otherwise)
+  std::shared_ptr<const trace::Trace> src_trace;  ///< group reads this prepared trace
   std::string workload;                           ///< generated groups
-  trace::TraceGenConfig gen{};
+  trace::TraceGenConfig gen;
+  std::size_t members = 0;
+  std::size_t expected = 1;                ///< min(members, pool threads)
+  std::atomic<std::size_t> unfinished{0};  ///< members yet to finish
 
-  // Resolved by the first member:
+  // Resolved by init_group:
   std::shared_ptr<const trace::Trace> trace;       ///< memory groups: the one decode
-  std::shared_ptr<trace::SharedBatchCache> cache;  ///< file groups (null: v1 fallback)
+  std::shared_ptr<trace::SharedBatchCache> cache;  ///< file groups of 2+ (null: v1)
+  std::string path;        ///< file groups without a cache: what each member opens
+  bool owns_temp = false;  ///< path is a temp file init_group wrote
 };
 
+/// The only code that loads, generates or writes a temp .rsim. A temp
+/// file is unlinked as soon as no member needs to open it: here once the
+/// cache holds it open, else by the group's one member (a temp container
+/// is never v1, so a temp group without a cache has one member).
 void init_group(GroupShare& g) {
+  const auto generate = [&g] {
+    return trace::TraceGenerator(workload::make_workload(g.workload), g.gen).generate();
+  };
   if (g.backend == core::TraceBackend::kMemory) {
-    g.trace = std::make_shared<trace::Trace>(
-        !g.src_path.empty()
-            ? trace::load_trace(g.src_path)
-            : trace::TraceGenerator(workload::make_workload(g.workload), g.gen)
-                  .generate());
+    if (g.src_trace) {
+      g.trace = g.src_trace;
+    } else if (!g.src_path.empty()) {
+      g.trace = std::make_shared<trace::Trace>(trace::load_trace(g.src_path));
+    } else {
+      g.trace = std::make_shared<trace::Trace>(generate());
+    }
     return;
   }
-  std::string path = g.src_path;
-  bool owns_temp = false;
-  if (path.empty()) {
-    path = private_temp_path();
-    owns_temp = true;
-    if (g.src_trace) {
-      trace::save_trace(*g.src_trace, path, trace::kDefaultChunkRecords, g.prefilter,
-                        g.prefilter);
-    } else {
-      const trace::Trace t =
-          trace::TraceGenerator(workload::make_workload(g.workload), g.gen).generate();
-      trace::save_trace(t, path, trace::kDefaultChunkRecords, g.prefilter, g.prefilter);
+  g.path = g.src_path;
+  if (g.path.empty()) {
+    g.path = private_temp_path();
+    g.owns_temp = true;
+    try {
+      trace::save_trace(g.src_trace ? *g.src_trace : generate(), g.path);
+    } catch (...) {
+      std::remove(g.path.c_str());  // a failed write leaves no partial file
+      throw;
     }
   }
+  if (g.members < 2) return;
   try {
-    g.cache = std::make_shared<trace::SharedBatchCache>(path, g.expected);
+    g.cache = std::make_shared<trace::SharedBatchCache>(g.path, g.expected);
   } catch (const std::invalid_argument&) {
     // v1 container (only possible for a user-supplied src_path): no
     // chunk index to share — members fall back to private sources.
-    g.cache = nullptr;
   } catch (...) {
-    if (owns_temp) std::remove(path.c_str());
+    if (g.owns_temp) std::remove(g.path.c_str());
     throw;
   }
-  if (owns_temp) {
-    std::remove(path.c_str());  // the cache's open stream keeps the inode alive
+  if (g.owns_temp) {
+    std::remove(g.path.c_str());  // the cache's open stream keeps the inode alive
   }
 }
 
-JobResult run_one_with_share(const SimJob& job, GroupShare& g) {
+/// The member's record source over its initialized group.
+std::unique_ptr<trace::TraceSource> member_source(const GroupShare& g,
+                                                  core::TraceBackend backend) {
+  if (g.trace) return std::make_unique<trace::VectorTraceSource>(*g.trace);
+  if (g.cache) return std::make_unique<trace::BatchTraceSource>(g.cache);
+  try {
+    auto src = open_trace_file(g.path, backend);
+    if (g.owns_temp) std::remove(g.path.c_str());  // the open source keeps the inode
+    return src;
+  } catch (...) {
+    if (g.owns_temp) std::remove(g.path.c_str());  // don't leak it on open failure
+    throw;
+  }
+}
+
+JobResult run_member(const SimJob& job, GroupShare& g) {
+  job.config.validate();
   std::call_once(g.once, [&g] {
     try {
       init_group(g);
@@ -189,22 +197,18 @@ JobResult run_one_with_share(const SimJob& job, GroupShare& g) {
   });
   if (g.init_error) std::rethrow_exception(g.init_error);
 
-  job.config.validate();
   JobResult out;
   out.label = job.label;
   out.workload = job.workload;
   out.config = job.config;
-  if (g.trace) {
-    trace::VectorTraceSource src(*g.trace);
-    out.result = run_engine(job.config, src);
-  } else if (g.cache) {
-    trace::BatchTraceSource src(g.cache);
-    out.result = run_engine(job.config, src);
-  } else {
+  {
     const std::unique_ptr<trace::TraceSource> src =
-        open_trace_file(g.src_path, job.config.trace_backend);
+        member_source(g, job.config.trace_backend);
     out.result = run_engine(job.config, *src);
   }
+  // The last member frees a memory group's records; a cache stays for
+  // run()'s decode stats.
+  if (g.unfinished.fetch_sub(1) == 1) g.trace.reset();
   return out;
 }
 
@@ -213,163 +217,57 @@ JobResult run_one_with_share(const SimJob& job, GroupShare& g) {
 /// contiguous, groups by first appearance) so a group's consumers run
 /// concurrently at any thread count.
 struct GroupPlan {
-  std::vector<std::unique_ptr<GroupShare>> shares;
-  std::vector<GroupShare*> of;     ///< per job; nullptr = private decode
+  std::vector<std::unique_ptr<GroupShare>> shares;  ///< first-member order
+  std::vector<GroupShare*> of;     ///< per job
   std::vector<std::size_t> order;  ///< claim order over job indices
 };
 
 GroupPlan plan_groups(const std::vector<SimJob>& jobs, unsigned threads) {
   GroupPlan plan;
-  plan.of.assign(jobs.size(), nullptr);
-  std::map<std::string, std::size_t> index;  // group key -> shares index
+  plan.of.reserve(jobs.size());
+  std::map<std::string, std::size_t> index;      // group key -> shares index
+  std::vector<std::vector<std::size_t>> buckets;  // per share: its jobs, in order
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const SimJob& j = jobs[i];
-    // Factory jobs are opaque; memory-backend prepared-trace jobs
-    // already share the decoded records by construction.
-    if (j.source || !j.config.trace_shared_decode) continue;
-    const bool memory = j.config.trace_backend == core::TraceBackend::kMemory;
-    std::string key;
-    if (!j.trace_path.empty()) {
-      key = (memory ? "m:path:" : "f:path:") + j.trace_path;
-    } else if (j.trace) {
-      if (memory) continue;
-      key = "f:ptr:";
-      key += std::to_string(reinterpret_cast<std::uintptr_t>(j.trace.get()));
-    } else {
-      key = (memory ? "m:gen:" : "f:gen:") + gen_group_key(j.workload, j.gen);
+    const std::string key = group_key(jobs[i]);
+    std::size_t s = plan.shares.size();
+    if (!key.empty()) s = index.emplace(key, s).first->second;
+    if (s == plan.shares.size()) {
+      plan.shares.push_back(std::make_unique<GroupShare>(jobs[i]));
+      buckets.emplace_back();
     }
-    const auto [it, inserted] = index.emplace(key, plan.shares.size());
-    if (inserted) {
-      auto share = std::make_unique<GroupShare>();
-      share->backend = j.config.trace_backend;
-      share->prefilter = j.config.trace_prefilter;
-      share->src_path = j.trace_path;
-      share->src_trace = j.trace;
-      share->workload = j.workload;
-      share->gen = j.gen;
-      plan.shares.push_back(std::move(share));
-    }
-    GroupShare& g = *plan.shares[it->second];
-    plan.of[i] = &g;
-    ++g.members;
-  }
-  // A group of one gains nothing over a private source.
-  for (auto& owner : plan.of) {
-    if (owner != nullptr && owner->members < 2) owner = nullptr;
-  }
-  for (const auto& share : plan.shares) {
-    share->expected = std::min<std::size_t>(share->members, threads);
+    buckets[s].push_back(i);
+    plan.of.push_back(plan.shares[s].get());
   }
   // Claim order: each group is one contiguous bucket at its first
-  // member's position; private jobs keep their slots. Deterministic, so
-  // -j1 and -jN traverse identically.
-  std::vector<std::vector<std::size_t>> buckets;
-  std::map<const GroupShare*, std::size_t> bucket_of;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    GroupShare* g = plan.of[i];
-    if (g == nullptr) {
-      buckets.push_back({i});
-      continue;
-    }
-    const auto [it, inserted] = bucket_of.emplace(g, buckets.size());
-    if (inserted) {
-      buckets.push_back({i});
-    } else {
-      buckets[it->second].push_back(i);
-    }
-  }
+  // member's position. Deterministic, so -j1 and -jN traverse identically.
   plan.order.reserve(jobs.size());
-  for (const auto& b : buckets) {
-    for (const std::size_t i : b) plan.order.push_back(i);
+  for (std::size_t s = 0; s < plan.shares.size(); ++s) {
+    plan.shares[s]->members = buckets[s].size();
+    plan.shares[s]->unfinished = buckets[s].size();
+    plan.shares[s]->expected = std::min<std::size_t>(buckets[s].size(), threads);
+    plan.order.insert(plan.order.end(), buckets[s].begin(), buckets[s].end());
   }
   return plan;
 }
 
 }  // namespace
 
-TraceSourceFactory backend_gen_source(std::string workload, trace::TraceGenConfig gen,
-                                      std::string path, core::TraceBackend backend) {
-  if (backend == core::TraceBackend::kMemory) {
-    throw std::invalid_argument(
-        "backend_gen_source: the memory backend needs no file round trip");
-  }
-  return [workload = std::move(workload), gen, path = std::move(path),
-          backend]() -> std::unique_ptr<trace::TraceSource> {
-    const trace::Trace t =
-        trace::TraceGenerator(workload::make_workload(workload), gen).generate();
-    trace::save_trace(t, path);
-    try {
-      auto src = open_trace_file(path, backend);
-      std::remove(path.c_str());  // the open stream keeps the inode alive
-      return src;
-    } catch (...) {
-      std::remove(path.c_str());  // don't leak the temp file on open failure
-      throw;
-    }
-  };
-}
-
-TraceSourceFactory streamed_gen_source(std::string workload, trace::TraceGenConfig gen,
-                                       std::string path) {
-  return backend_gen_source(std::move(workload), gen, std::move(path),
-                            core::TraceBackend::kStream);
-}
-
 BatchRunner::BatchRunner(unsigned threads)
     : threads_(threads != 0 ? threads
                             : std::max(1u, std::thread::hardware_concurrency())) {}
 
 JobResult BatchRunner::run_one(const SimJob& job) {
-  job.config.validate();
-  JobResult out;
-  out.label = job.label;
-  out.workload = job.workload;
-  out.config = job.config;
-  const core::TraceBackend backend = job.config.trace_backend;
-  if (job.source) {
-    const std::unique_ptr<trace::TraceSource> src = job.source();
-    if (!src) throw std::runtime_error("SimJob: source factory returned null");
-    out.result = run_engine(job.config, *src);
-  } else if (!job.trace_path.empty()) {
-    if (backend == core::TraceBackend::kMemory) {
-      const trace::Trace t = trace::load_trace(job.trace_path);
-      trace::VectorTraceSource src(t);
-      out.result = run_engine(job.config, src);
-    } else {
-      const std::unique_ptr<trace::TraceSource> src =
-          open_trace_file(job.trace_path, backend);
-      out.result = run_engine(job.config, *src);
-    }
-  } else if (job.trace) {
-    if (backend == core::TraceBackend::kMemory) {
-      trace::VectorTraceSource src(*job.trace);
-      out.result = run_engine(job.config, src);
-    } else {
-      const std::unique_ptr<trace::TraceSource> src = roundtrip_source(*job.trace, backend);
-      out.result = run_engine(job.config, *src);
-    }
-  } else {
-    const trace::Trace t =
-        trace::TraceGenerator(workload::make_workload(job.workload), job.gen).generate();
-    if (backend == core::TraceBackend::kMemory) {
-      trace::VectorTraceSource src(t);
-      out.result = run_engine(job.config, src);
-    } else {
-      const std::unique_ptr<trace::TraceSource> src = roundtrip_source(t, backend);
-      out.result = run_engine(job.config, *src);
-    }
-  }
-  return out;
+  GroupShare g(job);
+  g.members = 1;
+  g.unfinished = 1;
+  return run_member(job, g);
 }
 
 std::vector<JobResult> BatchRunner::run(const std::vector<SimJob>& jobs,
                                         std::vector<GroupDecodeStats>* decode_stats) const {
   std::vector<JobResult> results(jobs.size());
   const GroupPlan plan = plan_groups(jobs, threads_);
-  const auto run_job = [&](std::size_t i) {
-    results[i] =
-        plan.of[i] != nullptr ? run_one_with_share(jobs[i], *plan.of[i]) : run_one(jobs[i]);
-  };
+  const auto run_job = [&](std::size_t i) { results[i] = run_member(jobs[i], *plan.of[i]); };
 
   const unsigned workers =
       static_cast<unsigned>(std::min<std::size_t>(threads_, jobs.size()));
@@ -404,7 +302,7 @@ std::vector<JobResult> BatchRunner::run(const std::vector<SimJob>& jobs,
   if (decode_stats != nullptr) {
     decode_stats->clear();
     for (const auto& share : plan.shares) {
-      if (share->members < 2) continue;  // dissolved singleton group
+      if (share->members < 2) continue;  // a group of one shares nothing
       GroupDecodeStats s;
       s.workload = !share->workload.empty() ? share->workload : share->src_path;
       s.members = share->members;
@@ -414,7 +312,7 @@ std::vector<JobResult> BatchRunner::run(const std::vector<SimJob>& jobs,
         s.chunks_decoded = share->cache->chunks_decoded();
         s.cache_hits = share->cache->hits();
         s.cache_evictions = share->cache->evictions();
-      } else if (share->trace) {
+      } else if (share->backend == core::TraceBackend::kMemory) {
         s.chunks_decoded = 1;  // the single shared load/generate
       }
       decode_stats->push_back(std::move(s));

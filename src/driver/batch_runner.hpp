@@ -14,7 +14,6 @@
 #define RESIM_DRIVER_BATCH_RUNNER_H
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -29,12 +28,6 @@
 
 namespace resim::driver {
 
-/// Builds the worker-private record source for one job. Factories run on
-/// the worker thread, so each worker owns its source outright — e.g. a
-/// constant-memory trace::FileTraceSource over a shared .rsim file
-/// instead of every worker sharing one giant decoded vector.
-using TraceSourceFactory = std::function<std::unique_ptr<trace::TraceSource>()>;
-
 /// Opens an on-disk .rsim for a file-reading trace.backend: one
 /// trace::FileTraceSource, mapped for kMmap and read() for kStream. The
 /// only place a backend picks a reader mode (a kMemory caller decodes
@@ -42,40 +35,22 @@ using TraceSourceFactory = std::function<std::unique_ptr<trace::TraceSource>()>;
 [[nodiscard]] std::unique_ptr<trace::FileTraceSource> open_trace_file(
     const std::string& path, core::TraceBackend backend);
 
-/// Factory that generates `workload`'s trace with `gen`, round-trips it
-/// through a private .rsim file at `path`, and reads it back through
-/// `backend` (kStream: constant-memory trace::FileTraceSource; kMmap:
-/// the same reader over a mapping; kMemory is rejected — a memory job
-/// needs no file round trip). The file is unlinked as soon as the
-/// source opens (the open stream / mapping keeps the inode alive on
-/// POSIX), so disk usage is bounded by the jobs in flight.
-[[nodiscard]] TraceSourceFactory backend_gen_source(std::string workload,
-                                                    trace::TraceGenConfig gen,
-                                                    std::string path,
-                                                    core::TraceBackend backend);
-
-/// backend_gen_source pinned to the stream backend (the pre-backend API).
-[[nodiscard]] TraceSourceFactory streamed_gen_source(std::string workload,
-                                                     trace::TraceGenConfig gen,
-                                                     std::string path);
-
 /// One point of a design-space sweep.
 ///
-/// Record-source precedence: `source` (factory), then `trace_path`
-/// (the worker opens the on-disk .rsim itself), then `trace` (prepared
-/// decoded trace shared read-only across jobs, the paper's "traces
-/// prepared off-line" mode), else the worker generates the trace
-/// itself from `workload` and `gen` — trace generation is seeded and
+/// Record-source precedence: `trace_path` (an on-disk .rsim), then
+/// `trace` (prepared decoded trace shared read-only across jobs, the
+/// paper's "traces prepared off-line" mode), else the trace is
+/// generated from `workload` and `gen` — trace generation is seeded and
 /// therefore deterministic.
 ///
 /// config.trace_backend (the `trace.backend` registry parameter)
-/// selects how the non-factory paths read records: kMemory decodes the
-/// whole trace up front; kStream uses a constant-memory
-/// FileTraceSource; kMmap maps the file and decodes in place. Jobs
-/// without a file (generated or prepared-trace jobs) under a non-memory
-/// backend round-trip their records through a private temp .rsim,
-/// unlinked as soon as the source opens. Every backend is bit-identical
-/// in results; only host memory behavior differs.
+/// selects how records are read: kMemory decodes the whole trace up
+/// front; kStream uses a constant-memory FileTraceSource; kMmap maps the
+/// file and decodes in place. Jobs without a file (generated or
+/// prepared-trace jobs) under a non-memory backend round-trip their
+/// records through a temp .rsim, unlinked as soon as no reader needs to
+/// open it. Every backend is bit-identical in results; only host memory
+/// behavior differs.
 struct SimJob {
   std::string label;     ///< row label in reports/CSV
   std::string workload;  ///< benchmark name (workload::make_workload registry)
@@ -83,7 +58,6 @@ struct SimJob {
   trace::TraceGenConfig gen{};
   std::string trace_path;                     ///< optional on-disk .rsim to stream
   std::shared_ptr<const trace::Trace> trace;  ///< optional prepared trace
-  TraceSourceFactory source;                  ///< optional worker-built source
 
   /// A sweep point whose trace-generation parameters match the core
   /// configuration (predictor + conservative wrong-path block), the
@@ -92,11 +66,6 @@ struct SimJob {
                                           const core::CoreConfig& cfg,
                                           std::uint64_t insts);
 };
-
-/// Switches every job to a streamed_gen_source factory, with per-job
-/// temp files named "<system temp dir>/<tag>_<pid>_<index>.rsim" so
-/// concurrent processes and workers never collide.
-void use_streamed_sources(std::vector<SimJob>& jobs, const std::string& tag);
 
 /// A completed job: the configuration it ran plus the engine's result.
 struct JobResult {
@@ -133,24 +102,28 @@ class BatchRunner {
   /// pool stops claiming new jobs and one of the thrown exceptions
   /// (lowest worker index) is rethrown after all workers drain.
   ///
-  /// Decode-once fan-out: jobs whose config has trace.shared_decode set
-  /// and that read the same record stream (same trace_path, same
-  /// prepared trace, or byte-identical generation parameters) form a
-  /// group. A group's trace is decoded by one shared producer — a
-  /// load_trace for the memory backend, a trace::SharedBatchCache for
-  /// the file backends — instead of once per job, and the runner claims
-  /// group members contiguously so the producer engages at any -j.
-  /// Grouped stream/mmap jobs read through BatchTraceSource (the cache
-  /// is the file reader; the per-job backend only picks the fallback
-  /// for v1 containers). Results are byte-identical to private decoding
-  /// in every mode. `decode_stats`, when non-null, receives one entry
-  /// per group in deterministic (first-member) order.
+  /// Every job is planned into a group of the jobs that read the same
+  /// record stream (same trace_path, same prepared trace under a file
+  /// backend, or byte-identical generation parameters; memory-backend
+  /// prepared-trace jobs already share the decoded records and read
+  /// alone). A group's trace is loaded, generated or written to a temp
+  /// .rsim once, by its first member to run. A group of two or more
+  /// decodes through one shared producer — the one load for the memory
+  /// backend, a trace::SharedBatchCache for the file backends — and the
+  /// runner claims its members contiguously so the producer engages at
+  /// any -j; its stream/mmap members read through BatchTraceSource (the
+  /// per-job backend only picks the reader for v1 containers, which
+  /// have no chunk index to share). A group of one reads through its own
+  /// source. Results are byte-identical to private decoding in every
+  /// mode. `decode_stats`, when non-null, receives one entry per group
+  /// of two or more in deterministic (first-member) order.
   [[nodiscard]] std::vector<JobResult> run(
       const std::vector<SimJob>& jobs,
       std::vector<GroupDecodeStats>* decode_stats = nullptr) const;
 
-  /// Simulate a single job in the calling thread (always private
-  /// decode; the shared producer exists only under run()).
+  /// Simulate a single job in the calling thread: a plan of one job,
+  /// so it reads through a private source exactly as a group of one
+  /// does under run().
   [[nodiscard]] static JobResult run_one(const SimJob& job);
 
  private:

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "config/param_registry.hpp"
+#include "trace/file_source.hpp"
 #include "workload/suite.hpp"
 
 namespace resim::driver {
@@ -95,6 +96,34 @@ SweepGrid expand_spec(const config::SweepSpec& spec) {
       if (a == 0) return grid;
     }
   }
+}
+
+SweepGrid expand_trace_sweep(
+    config::SweepSpec spec, const std::string& path,
+    const std::function<std::shared_ptr<const trace::Trace>()>& load_memory) {
+  if (path.empty()) return expand_spec(spec);
+  // Header-only open: just recover the benchmark name.
+  const std::string bench_name = trace::FileTraceSource(path).trace_name();
+  bool found = false;
+  for (auto& axis : spec.axes) {
+    if (axis.path == "bench") {
+      axis.values = {bench_name};
+      found = true;
+    }
+  }
+  if (!found) spec.axes.insert(spec.axes.begin(), {"bench", {bench_name}});
+
+  SweepGrid grid = expand_spec(spec);
+  std::shared_ptr<const trace::Trace> memory_trace;
+  for (auto& job : grid.jobs) {
+    if (job.config.trace_backend == core::TraceBackend::kMemory) {
+      if (!memory_trace) memory_trace = load_memory();
+      job.trace = memory_trace;
+    } else {
+      job.trace_path = path;
+    }
+  }
+  return grid;
 }
 
 }  // namespace resim::driver

@@ -15,6 +15,8 @@
 #ifndef RESIM_DRIVER_SWEEP_GRID_H
 #define RESIM_DRIVER_SWEEP_GRID_H
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,20 @@ struct SweepGrid {
 /// Every point's config is validate()d here, so an invalid corner of the
 /// grid fails before any simulation starts, naming the point's label.
 [[nodiscard]] SweepGrid expand_spec(const config::SweepSpec& spec);
+
+/// Expand a sweep over one prepared .rsim (`resim_cli sweep --trace`, a
+/// served sweep naming a trace) instead of generating per job: the bench
+/// axis collapses to the container's own benchmark name, then each
+/// job's trace.backend (flag, --set, or even a sweep axis) decides how
+/// it reads the file. Memory-backend jobs share the one decoded
+/// read-only copy `load_memory()` returns (called at most once, and only
+/// if such a job exists); stream/mmap jobs name `path` and share its
+/// decode through the batch runner's cache. The codec is lossless, so
+/// the CSV is byte-identical across backends. An empty `path` is plain
+/// expand_spec.
+[[nodiscard]] SweepGrid expand_trace_sweep(
+    config::SweepSpec spec, const std::string& path,
+    const std::function<std::shared_ptr<const trace::Trace>()>& load_memory);
 
 }  // namespace resim::driver
 

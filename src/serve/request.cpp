@@ -223,33 +223,10 @@ void run_sim(const SimRequest& req, SharedTraceCache& traces, const Sink& sink) 
 
 void run_sweep(const SweepRequest& req, unsigned threads, SharedTraceCache& traces,
                const Sink& sink) {
-  config::SweepSpec spec = req.spec;
-
-  // Prepared-trace mode, exactly like `sweep --trace`: the bench axis
-  // collapses to the container's own benchmark name.
-  if (!req.trace_path.empty()) {
-    const std::string bench_name = trace::FileTraceSource(req.trace_path).trace_name();
-    bool found = false;
-    for (auto& axis : spec.axes) {
-      if (axis.path == "bench") {
-        axis.values = {bench_name};
-        found = true;
-      }
-    }
-    if (!found) spec.axes.insert(spec.axes.begin(), {"bench", {bench_name}});
-  }
-
-  auto grid = driver::expand_spec(spec);
-  std::shared_ptr<const trace::Trace> shared_trace;
-  for (auto& job : grid.jobs) {
-    if (req.trace_path.empty()) continue;
-    if (job.config.trace_backend == core::TraceBackend::kMemory) {
-      if (!shared_trace) shared_trace = traces.get(req.trace_path);
-      job.trace = shared_trace;
-    } else {
-      job.trace_path = req.trace_path;
-    }
-  }
+  // Prepared-trace mode, exactly like `sweep --trace`; the memory
+  // backend borrows the decoded trace from the shared cache.
+  auto grid = driver::expand_trace_sweep(
+      req.spec, req.trace_path, [&] { return traces.get(req.trace_path); });
 
   const driver::BatchRunner runner(threads);
   const std::size_t total = grid.jobs.size();

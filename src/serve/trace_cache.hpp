@@ -15,7 +15,7 @@
 // bypass this cache by design: their cross-request sharing is the OS
 // page cache over the mapped/streamed file, and their within-request
 // sharing is the decode-once trace::SharedBatchCache that BatchRunner
-// already builds per shared-trace job group.
+// builds for every job group of two or more same-trace points.
 #ifndef RESIM_SERVE_TRACE_CACHE_H
 #define RESIM_SERVE_TRACE_CACHE_H
 

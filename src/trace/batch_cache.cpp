@@ -224,20 +224,6 @@ bool BatchTraceSource::ensure_batch() {
   return true;
 }
 
-const TraceRecord* BatchTraceSource::peek() {
-  return ensure_batch() ? &(*batch_)[pos_] : nullptr;
-}
-
-TraceRecord BatchTraceSource::next() {
-  if (!ensure_batch()) {
-    throw std::out_of_range("BatchTraceSource::next: past end of trace");
-  }
-  const TraceRecord& r = (*batch_)[pos_++];
-  ++consumed_;
-  bits_ += encoded_bits(r);
-  return r;
-}
-
 std::uint64_t BatchTraceSource::skip(std::uint64_t n) {
   std::uint64_t done = 0;
   // The already-acquired batch is consumed normally (it was paid for;

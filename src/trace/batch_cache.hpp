@@ -45,12 +45,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "trace/container.hpp"
 #include "trace/file_source.hpp"
+#include "trace/format.hpp"
 #include "trace/reader.hpp"
 
 namespace resim::trace {
@@ -172,8 +174,20 @@ class BatchTraceSource final : public TraceSource {
   BatchTraceSource(const BatchTraceSource&) = delete;
   BatchTraceSource& operator=(const BatchTraceSource&) = delete;
 
-  [[nodiscard]] const TraceRecord* peek() override;
-  TraceRecord next() override;
+  // Inline fast path while the cursor is inside its batch; the refill
+  // runs out of line, once per chunk.
+  [[nodiscard]] const TraceRecord* peek() override {
+    return in_batch() || ensure_batch() ? &(*batch_)[pos_] : nullptr;
+  }
+  TraceRecord next() override {
+    if (!in_batch() && !ensure_batch()) {
+      throw std::out_of_range("BatchTraceSource::next: past end of trace");
+    }
+    const TraceRecord& r = (*batch_)[pos_++];
+    ++consumed_;
+    bits_ += encoded_bits(r);
+    return r;
+  }
   std::uint64_t skip(std::uint64_t n) override;
   [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
   [[nodiscard]] std::uint64_t records_consumed() const override { return consumed_; }
@@ -194,6 +208,7 @@ class BatchTraceSource final : public TraceSource {
   [[nodiscard]] std::uint64_t chunks_skipped() const { return chunks_skipped_; }
 
  private:
+  [[nodiscard]] bool in_batch() const { return batch_ != nullptr && pos_ < batch_->size(); }
   /// Positions batch_/pos_ on the next unconsumed record; false at end.
   bool ensure_batch();
 

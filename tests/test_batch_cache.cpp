@@ -270,9 +270,9 @@ TEST(SharedBatchCache, TinyCapacityStillCorrectUnderEvictionPressure) {
 
 // ---- batch-runner grouping ------------------------------------------------
 
-/// A same-workload grid: N configurations over one workload.
-std::vector<driver::SimJob> same_workload_grid(core::TraceBackend backend,
-                                               bool shared_decode) {
+/// A same-workload grid: N configurations over one workload, its jobs
+/// generating their (identical) traces — one group.
+std::vector<driver::SimJob> same_workload_grid(core::TraceBackend backend) {
   std::vector<driver::SimJob> jobs;
   for (unsigned width : {2u, 4u}) {
     for (unsigned rob : {16u, 32u}) {
@@ -283,21 +283,18 @@ std::vector<driver::SimJob> same_workload_grid(core::TraceBackend backend,
       job.config.mem_read_ports = std::max(1u, width - 1);
       job.config.rob_size = rob;
       job.config.trace_backend = backend;
-      job.config.trace_shared_decode = shared_decode;
       jobs.push_back(std::move(job));
     }
   }
   return jobs;
 }
 
-/// The same grid, sampled over a longer trace in a v4 container: three
-/// windows with functional warmup, and gaps wide enough to hop whole
-/// chunks.
-std::vector<driver::SimJob> sampled_grid(core::TraceBackend backend, bool shared_decode) {
-  auto jobs = same_workload_grid(backend, shared_decode);
+/// The same grid, sampled over a longer trace: three windows with
+/// functional warmup, and gaps wide enough to hop whole chunks.
+std::vector<driver::SimJob> sampled_grid(core::TraceBackend backend) {
+  auto jobs = same_workload_grid(backend);
   for (auto& job : jobs) {
     job.gen.max_insts = 30000;
-    job.config.trace_prefilter = true;
     job.config.sample.windows = 3;
     job.config.sample.window_insts = 2000;
     job.config.sample.warmup_insts = 1500;
@@ -305,20 +302,61 @@ std::vector<driver::SimJob> sampled_grid(core::TraceBackend backend, bool shared
   return jobs;
 }
 
+/// The grid's trace, saved once in container `flavor` with 512-record chunks.
+std::string save_grid_trace(const std::vector<driver::SimJob>& jobs, const std::string& leaf,
+                            const std::string& flavor) {
+  const driver::SimJob& j = jobs.front();
+  return save_flavor(TraceGenerator(workload::make_workload(j.workload), j.gen).generate(),
+                     leaf, flavor);
+}
+
+/// Where a grid's jobs read their records from.
+enum class Feed {
+  kGenerated,   ///< each job generates the trace: one group
+  kSharedFile,  ///< every job names one .rsim: one group
+  kFileCopies,  ///< each job names its own copy of that .rsim: no group
+};
+
+/// Points `jobs` at `path` as `feed` says.
+void feed_jobs(std::vector<driver::SimJob>& jobs, Feed feed, const std::string& path) {
+  for (std::size_t i = 0; i < jobs.size() && feed != Feed::kGenerated; ++i) {
+    jobs[i].trace_path = path;
+    if (feed == Feed::kFileCopies) {
+      jobs[i].trace_path += "." + std::to_string(i);
+      std::filesystem::copy_file(path, jobs[i].trace_path,
+                                 std::filesystem::copy_options::overwrite_existing);
+    }
+  }
+}
+
+void remove_grid_files(const std::string& path, std::size_t copies) {
+  std::remove(path.c_str());
+  for (std::size_t i = 0; i < copies; ++i) {
+    std::remove((path + "." + std::to_string(i)).c_str());
+  }
+}
+
 TEST(BatchRunnerSharedDecode, CsvByteIdenticalAcrossThreadsBackendsAndSharing) {
-  // The tentpole's outer contract: sweep CSV bytes never depend on -j,
-  // on the trace backend, or on whether the shared producer engaged.
-  // The sampled grid runs functional warmup and SegmentedTraceSource
-  // over a v4 container's BatchTraceSource against private sources.
+  // The outer contract: sweep CSV bytes never depend on -j,
+  // on the trace backend, or on whether the shared producer engaged
+  // (generated and one-file jobs group; jobs over per-job copies of the
+  // file read privately). The sampled grid runs functional warmup and
+  // SegmentedTraceSource over a v4 container's BatchTraceSource against
+  // private sources.
   for (const bool sampled : {false, true}) {
+    const auto grid = [sampled](core::TraceBackend backend) {
+      return sampled ? sampled_grid(backend) : same_workload_grid(backend);
+    };
+    const std::string path = save_grid_trace(grid(core::TraceBackend::kMemory), "grid",
+                                             sampled ? "v4" : "v2");
     std::string reference;
     for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
                                core::TraceBackend::kMmap}) {
-      for (const bool shared : {true, false}) {
+      for (const Feed feed : {Feed::kGenerated, Feed::kSharedFile, Feed::kFileCopies}) {
         for (const unsigned threads : {1u, 4u}) {
-          const driver::BatchRunner runner(threads);
-          const auto results = runner.run(sampled ? sampled_grid(backend, shared)
-                                                  : same_workload_grid(backend, shared));
+          auto jobs = grid(backend);
+          feed_jobs(jobs, feed, path);
+          const auto results = driver::BatchRunner(threads).run(jobs);
           std::ostringstream csv;
           driver::write_csv(csv, results);
           if (reference.empty()) {
@@ -327,11 +365,12 @@ TEST(BatchRunnerSharedDecode, CsvByteIdenticalAcrossThreadsBackendsAndSharing) {
           } else {
             EXPECT_EQ(csv.str(), reference)
                 << "sampled=" << sampled << " backend=" << static_cast<int>(backend)
-                << " shared=" << shared << " threads=" << threads;
+                << " feed=" << static_cast<int>(feed) << " threads=" << threads;
           }
         }
       }
     }
+    remove_grid_files(path, 4);
   }
 }
 
@@ -339,7 +378,7 @@ TEST(BatchRunnerSharedDecode, DecodeStatsReportDecodeOnceForFileBackends) {
   const driver::BatchRunner runner(4);
   std::vector<driver::GroupDecodeStats> stats;
   const auto results =
-      runner.run(same_workload_grid(core::TraceBackend::kStream, true), &stats);
+      runner.run(same_workload_grid(core::TraceBackend::kStream), &stats);
   EXPECT_EQ(results.size(), 4u);
   ASSERT_EQ(stats.size(), 1u) << "one same-workload group expected";
   EXPECT_EQ(stats[0].members, 4u);
@@ -349,24 +388,33 @@ TEST(BatchRunnerSharedDecode, DecodeStatsReportDecodeOnceForFileBackends) {
       << stats[0].chunks_in_trace << " chunks";
 }
 
-TEST(BatchRunnerSharedDecode, SharedDecodeOffFormsNoGroups) {
-  const driver::BatchRunner runner(2);
+TEST(BatchRunnerSharedDecode, PerJobFileCopiesFormNoGroups) {
+  auto jobs = same_workload_grid(core::TraceBackend::kStream);
+  const std::string path = save_grid_trace(jobs, "copies", "v2");
+  feed_jobs(jobs, Feed::kFileCopies, path);
   std::vector<driver::GroupDecodeStats> stats;
-  (void)runner.run(same_workload_grid(core::TraceBackend::kStream, false), &stats);
+  (void)driver::BatchRunner(2).run(jobs, &stats);
   EXPECT_TRUE(stats.empty());
+  remove_grid_files(path, jobs.size());
 }
 
-TEST(BatchRunnerSharedDecode, PrefilterRoundTripKeepsResultsIdentical) {
-  // trace.prefilter switches the group's temp container to v4: the CSV
-  // must not move by a byte.
+TEST(BatchRunnerSharedDecode, V4TracePathGroupMatchesGeneratedGroup) {
+  // A group over a v4 (delta-prefiltered) container: the CSV must not
+  // move by a byte against the generated group's temp v2 container.
   const driver::BatchRunner runner(2);
-  auto plain = same_workload_grid(core::TraceBackend::kStream, true);
-  auto filtered = same_workload_grid(core::TraceBackend::kStream, true);
-  for (auto& job : filtered) job.config.trace_prefilter = true;
+  const auto generated = same_workload_grid(core::TraceBackend::kStream);
+  auto filtered = generated;
+  const std::string path = save_grid_trace(generated, "filtered", "v4");
+  feed_jobs(filtered, Feed::kSharedFile, path);
+  std::vector<driver::GroupDecodeStats> stats;
   std::ostringstream a, b;
-  driver::write_csv(a, runner.run(plain));
-  driver::write_csv(b, runner.run(filtered));
+  driver::write_csv(a, runner.run(generated));
+  driver::write_csv(b, runner.run(filtered, &stats));
   EXPECT_EQ(a.str(), b.str());
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].members, generated.size());
+  EXPECT_GT(stats[0].chunks_in_trace, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

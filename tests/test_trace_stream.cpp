@@ -1,7 +1,7 @@
 // Streaming trace I/O: FileTraceSource (read and mapped modes) vs.
 // VectorTraceSource identity, O(chunk) memory, rewind, single-region
-// SegmentedTraceSource runs, and factory-built sources in the batch
-// runner.
+// SegmentedTraceSource runs, and every job source kind x backend in the
+// batch runner.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -854,39 +854,6 @@ TEST(TraceFileV3, SuiteWorkloadCompressesAtLeastTwofold) {
 namespace resim::driver {
 namespace {
 
-TEST(BatchRunnerStream, FactoryJobsMatchGeneratedJobs) {
-  const std::uint64_t insts = 4000;
-  std::vector<SimJob> jobs;
-  for (unsigned width : {2u, 4u}) {
-    auto cfg = core::CoreConfig::paper_4wide_perfect();
-    cfg.width = width;
-    cfg.mem_read_ports = width - 1;
-    jobs.push_back(SimJob::sweep_point("w" + std::to_string(width), "gzip", cfg, insts));
-  }
-
-  const auto baseline = BatchRunner(1).run(jobs);
-
-  // Same jobs, but each worker streams its trace through a private file.
-  std::vector<SimJob> streamed = jobs;
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    auto& job = streamed[i];
-    job.source = streamed_gen_source(
-        job.workload, job.gen,
-        ::testing::TempDir() + "/factory_" + std::to_string(i) + ".rsim");
-  }
-  for (unsigned threads : {1u, 4u}) {
-    const auto results = BatchRunner(threads).run(streamed);
-    ASSERT_EQ(results.size(), baseline.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].result.committed, baseline[i].result.committed);
-      EXPECT_EQ(results[i].result.major_cycles, baseline[i].result.major_cycles);
-      EXPECT_EQ(results[i].result.trace_records, baseline[i].result.trace_records);
-      EXPECT_EQ(results[i].result.trace_bits, baseline[i].result.trace_bits);
-      EXPECT_EQ(csv_row(results[i]), csv_row(baseline[i]));
-    }
-  }
-}
-
 TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
   // Config sweep over one prepared on-disk trace: trace_path workers each
   // stream the file (O(chunk) memory) and must match the shared decoded
@@ -924,59 +891,76 @@ TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
   std::remove(path.c_str());
 }
 
-TEST(BatchRunnerStream, UseStreamedSourcesRejectsPreparedTraceJobs) {
-  trace::TraceGenConfig g;
-  g.max_insts = 500;
-  SimJob job;
-  job.label = "prepared";
-  job.workload = "gzip";
-  job.config = core::CoreConfig::paper_4wide_perfect();
-  job.trace = std::make_shared<trace::Trace>(
-      trace::TraceGenerator(workload::make_workload("gzip"), g).generate());
-  std::vector<SimJob> jobs{job};
-  EXPECT_THROW(use_streamed_sources(jobs, "reject_test"), std::invalid_argument);
-}
-
-TEST(BatchRunnerStream, NullFactoryResultThrows) {
-  SimJob job = SimJob::sweep_point("bad", "gzip", core::CoreConfig::paper_4wide_perfect(), 100);
-  job.source = []() -> std::unique_ptr<trace::TraceSource> { return nullptr; };
-  EXPECT_THROW((void)BatchRunner::run_one(job), std::runtime_error);
-}
-
 // ---- trace.backend dispatch ------------------------------------------------
 
-TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
-  // The tentpole contract: trace.backend is a host knob, never a result
-  // knob. Generated jobs and trace_path jobs (raw v2 and compressed v3)
-  // must produce byte-identical CSV rows on memory, stream and mmap, at
-  // any thread count.
-  const std::uint64_t insts = 4000;
+/// The four ways a job can reach one gzip trace: generated from its
+/// gen, a prepared in-memory trace, and trace_path over a raw v2 and a
+/// compressed v3 container. Removes its files when destroyed.
+struct JobInputs {
+  struct Input {
+    std::string path;
+    std::shared_ptr<const trace::Trace> trace;
+  };
+
+  explicit JobInputs(const trace::TraceGenConfig& gen)
+      : raw_path(::testing::TempDir() + "/backend_raw.rsim"),
+        lz_path(::testing::TempDir() + "/backend_lz.rsim") {
+    const auto t = std::make_shared<const trace::Trace>(
+        trace::TraceGenerator(workload::make_workload("gzip"), gen).generate());
+    trace::save_trace(*t, raw_path);
+    trace::save_trace(*t, lz_path, trace::kDefaultChunkRecords, /*compress=*/true);
+    all = {Input{}, Input{"", t}, Input{raw_path, nullptr}, Input{lz_path, nullptr}};
+  }
+  ~JobInputs() {
+    std::remove(raw_path.c_str());
+    std::remove(lz_path.c_str());
+  }
+  JobInputs(const JobInputs&) = delete;
+  JobInputs& operator=(const JobInputs&) = delete;
+
+  /// `jobs` reading `in` through `backend`.
+  static std::vector<SimJob> with(std::vector<SimJob> jobs, const Input& in,
+                                  core::TraceBackend backend) {
+    for (auto& job : jobs) {
+      job.config.trace_backend = backend;
+      job.trace_path = in.path;
+      job.trace = in.trace;
+    }
+    return jobs;
+  }
+
+  std::string raw_path;
+  std::string lz_path;
+  std::vector<Input> all;
+};
+
+/// Two gzip sweep points that read the same generated trace.
+std::vector<SimJob> two_width_jobs() {
   std::vector<SimJob> jobs;
   for (unsigned width : {2u, 4u}) {
     auto cfg = core::CoreConfig::paper_4wide_perfect();
     cfg.width = width;
     cfg.mem_read_ports = width - 1;
-    jobs.push_back(SimJob::sweep_point("w" + std::to_string(width), "gzip", cfg, insts));
+    jobs.push_back(SimJob::sweep_point("w" + std::to_string(width), "gzip", cfg, 4000));
   }
+  return jobs;
+}
+
+constexpr core::TraceBackend kBackends[] = {
+    core::TraceBackend::kMemory, core::TraceBackend::kStream, core::TraceBackend::kMmap};
+
+TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
+  // The backend contract: trace.backend is a host knob, never a result
+  // knob. Generated jobs, prepared-trace jobs and trace_path jobs (raw
+  // v2 and compressed v3) must produce byte-identical CSV rows on
+  // memory, stream and mmap, at any thread count.
+  const std::vector<SimJob> jobs = two_width_jobs();
   const auto baseline = BatchRunner(1).run(jobs);
+  const JobInputs inputs(jobs[0].gen);
 
-  const std::string raw_path = ::testing::TempDir() + "/backend_raw.rsim";
-  const std::string lz_path = ::testing::TempDir() + "/backend_lz.rsim";
-  {
-    const trace::Trace t =
-        trace::TraceGenerator(workload::make_workload("gzip"), jobs[0].gen).generate();
-    trace::save_trace(t, raw_path);
-    trace::save_trace(t, lz_path, trace::kDefaultChunkRecords, /*compress=*/true);
-  }
-
-  for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
-                             core::TraceBackend::kMmap}) {
-    for (const std::string& path : {std::string(), raw_path, lz_path}) {
-      std::vector<SimJob> variant = jobs;
-      for (auto& job : variant) {
-        job.config.trace_backend = backend;
-        job.trace_path = path;
-      }
+  for (const auto backend : kBackends) {
+    for (std::size_t in = 0; in < inputs.all.size(); ++in) {
+      const auto variant = JobInputs::with(jobs, inputs.all[in], backend);
       for (unsigned threads : {1u, 4u}) {
         const auto results = BatchRunner(threads).run(variant);
         ASSERT_EQ(results.size(), baseline.size());
@@ -984,14 +968,30 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
           // The config CSV column set carries no backend column, so rows
           // must match the memory baseline byte for byte.
           EXPECT_EQ(csv_row(results[i]), csv_row(baseline[i]))
-              << "backend " << static_cast<int>(backend) << " path '" << path
-              << "' threads " << threads;
+              << "backend " << static_cast<int>(backend) << " input " << in
+              << " threads " << threads;
         }
       }
     }
   }
-  std::remove(raw_path.c_str());
-  std::remove(lz_path.c_str());
+}
+
+TEST(BatchRunnerBackend, RunOneMatchesRunForEverySourceKindAndBackend) {
+  // run_one is a plan of one job: it must give each job exactly the
+  // result it gets inside a grouped run().
+  const std::vector<SimJob> jobs = two_width_jobs();
+  const JobInputs inputs(jobs[0].gen);
+  for (const auto backend : kBackends) {
+    for (std::size_t in = 0; in < inputs.all.size(); ++in) {
+      const auto variant = JobInputs::with(jobs, inputs.all[in], backend);
+      const auto grouped = BatchRunner(2).run(variant);
+      ASSERT_EQ(grouped.size(), variant.size());
+      for (std::size_t i = 0; i < variant.size(); ++i) {
+        EXPECT_EQ(csv_row(BatchRunner::run_one(variant[i])), csv_row(grouped[i]))
+            << "backend " << static_cast<int>(backend) << " input " << in << " job " << i;
+      }
+    }
+  }
 }
 
 TEST(BatchRunnerBackend, PreparedTraceJobRoundTripsUnderFileBackends) {
@@ -1016,14 +1016,6 @@ TEST(BatchRunnerBackend, PreparedTraceJobRoundTripsUnderFileBackends) {
     EXPECT_EQ(got.result.trace_records, want.result.trace_records);
     EXPECT_EQ(got.result.trace_bits, want.result.trace_bits);
   }
-}
-
-TEST(BatchRunnerBackend, BackendGenSourceRejectsMemory) {
-  trace::TraceGenConfig g;
-  g.max_insts = 100;
-  EXPECT_THROW((void)backend_gen_source("gzip", g, "/tmp/x.rsim",
-                                        core::TraceBackend::kMemory),
-               std::invalid_argument);
 }
 
 }  // namespace

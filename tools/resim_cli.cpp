@@ -484,41 +484,13 @@ int cmd_sweep(const Args& a) {
   if (has(a, "insts")) spec.insts = get_u64(a, "insts", 0);
 
   // --trace FILE sweeps configurations over one prepared trace instead
-  // of generating per job: the bench axis collapses to the trace's own
-  // benchmark name. Each job's trace.backend (flag, --set, or even a
-  // sweep axis) then decides how its worker reads the file: memory
-  // backends share one decoded read-only copy, stream/mmap workers open
-  // the file privately in O(chunk) / O(pages) memory. Generated jobs
-  // under a non-memory backend round-trip a private temp .rsim inside
-  // the runner. The codec is lossless, so the CSV stays byte-identical
-  // across backends.
+  // of generating per job (driver::expand_trace_sweep). Generated jobs
+  // under a non-memory backend round-trip a temp .rsim inside the
+  // runner.
   const std::string trace_file = get(a, "trace", "");
-  std::shared_ptr<const trace::Trace> shared_trace;
-  if (!trace_file.empty()) {
-    // Header-only open: just recover the benchmark name.
-    const std::string bench_name = trace::FileTraceSource(trace_file).trace_name();
-    bool found = false;
-    for (auto& axis : spec.axes) {
-      if (axis.path == "bench") {
-        axis.values = {bench_name};
-        found = true;
-      }
-    }
-    if (!found) spec.axes.insert(spec.axes.begin(), {"bench", {bench_name}});
-  }
-
-  auto grid = driver::expand_spec(spec);
-  for (auto& job : grid.jobs) {
-    if (trace_file.empty()) continue;
-    if (job.config.trace_backend == core::TraceBackend::kMemory) {
-      if (!shared_trace) {
-        shared_trace = std::make_shared<trace::Trace>(trace::load_trace(trace_file));
-      }
-      job.trace = shared_trace;
-    } else {
-      job.trace_path = trace_file;
-    }
-  }
+  auto grid = driver::expand_trace_sweep(spec, trace_file, [&trace_file] {
+    return std::make_shared<const trace::Trace>(trace::load_trace(trace_file));
+  });
 
   // --resume FILE: the grid points whose complete label row already
   // exists in FILE are skipped; the rest run in batches, each batch
