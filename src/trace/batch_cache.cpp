@@ -206,7 +206,7 @@ BatchTraceSource::BatchTraceSource(std::shared_ptr<SharedBatchCache> cache)
 BatchTraceSource::~BatchTraceSource() { cache_->deregister_consumer(id_); }
 
 bool BatchTraceSource::ensure_batch() {
-  while (batch_ == nullptr || pos_ >= batch_->size()) {
+  while (!in_batch()) {
     if (batch_ != nullptr) {
       batch_.reset();
       ++chunk_;
@@ -228,7 +228,7 @@ std::uint64_t BatchTraceSource::skip(std::uint64_t n) {
   std::uint64_t done = 0;
   // The already-acquired batch is consumed normally (it was paid for;
   // this keeps bits_ per-record exact for it).
-  while (done < n && batch_ != nullptr && pos_ < batch_->size()) {
+  while (done < n && in_batch()) {
     (void)next();
     ++done;
   }

@@ -319,7 +319,8 @@ enum class Feed {
 
 /// Points `jobs` at `path` as `feed` says.
 void feed_jobs(std::vector<driver::SimJob>& jobs, Feed feed, const std::string& path) {
-  for (std::size_t i = 0; i < jobs.size() && feed != Feed::kGenerated; ++i) {
+  if (feed == Feed::kGenerated) return;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].trace_path = path;
     if (feed == Feed::kFileCopies) {
       jobs[i].trace_path += "." + std::to_string(i);
