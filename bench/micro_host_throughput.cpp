@@ -42,8 +42,10 @@ void BM_CodecDecode(benchmark::State& state) {
   const auto payload = t.encode_payload();
   for (auto _ : state) {
     BitReader br(payload);
+    trace::TraceRecord r;
     for (std::size_t i = 0; i < t.records.size(); ++i) {
-      benchmark::DoNotOptimize(trace::decode(br));
+      benchmark::DoNotOptimize(trace::decode(br, r));
+      benchmark::DoNotOptimize(r);
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(t.records.size()));

@@ -37,27 +37,4 @@ void BitWriter::clear() {
   bit_count_ = 0;
 }
 
-std::uint64_t BitReader::get(unsigned bits) {
-  if (bits > 64) throw std::invalid_argument("BitReader::get: bits > 64");
-  if (bits > bits_remaining()) throw std::out_of_range("BitReader::get: past end");
-  std::uint64_t value = 0;
-  unsigned got = 0;
-  while (got < bits) {
-    const std::size_t byte = static_cast<std::size_t>(bit_pos_ / 8);
-    const unsigned bit_in_byte = static_cast<unsigned>(bit_pos_ % 8);
-    const unsigned room = 8 - bit_in_byte;
-    const unsigned take = (bits - got) < room ? (bits - got) : room;
-    const std::uint64_t chunk = (data_[byte] >> bit_in_byte) & low_mask(take);
-    value |= chunk << got;
-    got += take;
-    bit_pos_ += take;
-  }
-  return value;
-}
-
-void BitReader::align_byte() {
-  const unsigned rem = static_cast<unsigned>(bit_pos_ % 8);
-  if (rem != 0) bit_pos_ += 8 - rem;
-}
-
 }  // namespace resim

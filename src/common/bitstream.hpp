@@ -5,15 +5,25 @@
 // with its own fields and length"). BitWriter/BitReader pack fields
 // LSB-first into a byte buffer; the writer reports exact bit counts so
 // the bits-per-instruction statistic of Table 3 falls out of the codec.
+// The reader loads a word at a time: one unaligned little-endian 8-byte
+// memcpy, or the bytes that remain at the end of the buffer.
 #ifndef RESIM_COMMON_BITSTREAM_H
 #define RESIM_COMMON_BITSTREAM_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "common/numeric.hpp"
+
 namespace resim {
+
+static_assert(std::endian::native == std::endian::little,
+              "BitReader loads little-endian words with memcpy");
 
 class BitWriter {
  public:
@@ -38,15 +48,45 @@ class BitWriter {
 
 class BitReader {
  public:
+  /// Bits peek() guarantees valid: a word minus the largest bit offset.
+  static constexpr unsigned kPeekBits = 57;
+
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   /// Read `bits` bits (in [0,64]); throws std::out_of_range past the end.
-  [[nodiscard]] std::uint64_t get(unsigned bits);
+  [[nodiscard]] std::uint64_t get(unsigned bits) {
+    if (bits > 64) throw std::invalid_argument("BitReader::get: bits > 64");
+    if (bits > bits_remaining()) throw std::out_of_range("BitReader::get: past end");
+    const unsigned shift = static_cast<unsigned>(bit_pos_ % 8);
+    std::uint64_t v = peek();
+    // A field reaching past the loaded word ends in the ninth byte.
+    if (bits + shift > 64) v |= std::uint64_t{data_[bit_pos_ / 8 + 8]} << (64 - shift);
+    bit_pos_ += bits;
+    return v & low_mask(bits);
+  }
 
-  [[nodiscard]] bool get_bool() { return get(1) != 0; }
+  /// The bits from `ahead` bits past the cursor on, LSB-first, without
+  /// moving it: the low kPeekBits are the stream's, bits past the end of
+  /// the buffer read as zero. The caller checks bits_remaining() for
+  /// what it consumes, and ahead < bits_remaining().
+  [[nodiscard]] std::uint64_t peek(unsigned ahead = 0) const {
+    const std::uint64_t pos = bit_pos_ + ahead;
+    const std::size_t byte = static_cast<std::size_t>(pos / 8);
+    const std::size_t avail = data_.size() - byte;
+    std::uint64_t w = 0;
+    if (avail >= 8) [[likely]] {
+      std::memcpy(&w, data_.data() + byte, 8);
+    } else if (avail != 0) {
+      std::memcpy(&w, data_.data() + byte, avail);
+    }
+    return w >> (pos % 8);
+  }
+
+  /// Moves the cursor `bits` forward; bits <= bits_remaining().
+  void skip(unsigned bits) { bit_pos_ += bits; }
 
   /// Skip to the next byte boundary.
-  void align_byte();
+  void align_byte() { bit_pos_ = (bit_pos_ + 7) & ~std::uint64_t{7}; }
 
   [[nodiscard]] std::uint64_t bit_pos() const { return bit_pos_; }
   [[nodiscard]] std::uint64_t bits_remaining() const {

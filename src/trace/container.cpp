@@ -85,19 +85,6 @@ void write_u64le(std::ostream& os, std::uint64_t v) {
   os.write(b.data(), b.size());
 }
 
-void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_index,
-                    std::vector<TraceRecord>& out, const std::string& prefix,
-                    const std::string& suffix) {
-  const std::size_t start = out.size();
-  try {
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(decode(br));
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error(prefix + ": truncated payload at record " +
-                             std::to_string(first_index + (out.size() - start)) +
-                             suffix);
-  }
-}
-
 void ChunkDecoder::open(std::span<const std::uint8_t> stored, const ChunkHeader& ch,
                         std::uint64_t chunk_index, std::uint64_t first_record) {
   br_ = BitReader(chunk_raw_payload(stored, ch, chunk_index, scratch_, path_));
@@ -117,9 +104,26 @@ void ChunkDecoder::open_v1(std::span<const std::uint8_t> payload, std::uint64_t 
 }
 
 void ChunkDecoder::decode(std::uint64_t n, std::vector<TraceRecord>& out) {
-  out.clear();
-  out.reserve(n);  // no-op once the buffer has held a chunk: capacity is reused
-  decode_records(br_, n, next_record_, out, "load_trace", suffix_);
+  // Every slot is overwritten, so a reused buffer of the same size is
+  // neither cleared nor re-initialized.
+  out.resize(static_cast<std::size_t>(n));
+  // Locals the loop keeps in registers: stores to `out` cannot alias them.
+  BitReader br = br_;
+  DeltaCodec delta = delta_;
+  const bool delta_on = delta_on_;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const DecodeStatus st = trace::decode(br, out[i]);
+    if (st != DecodeStatus::kOk) [[unlikely]] {
+      if (st == DecodeStatus::kReservedTag) {
+        throw std::runtime_error("decode: reserved record format tag 3");
+      }
+      throw std::runtime_error("load_trace: truncated payload at record " +
+                               std::to_string(next_record_ + i) + suffix_);
+    }
+    if (delta_on) delta.unfilter(out[i]);
+  }
+  br_ = br;
+  delta_ = delta;
   next_record_ += n;
   left_ -= n;
   if (left_ == 0 && br_.bits_remaining() >= 8) {
@@ -131,11 +135,6 @@ void ChunkDecoder::decode(std::uint64_t n, std::vector<TraceRecord>& out) {
                   suffix_
             : "load_trace: trailing garbage in chunk " + std::to_string(chunk_index_) +
                   " of " + path_);
-  }
-  if (delta_on_) {
-    DeltaCodec delta = delta_;  // a local the loop can keep in registers
-    for (auto& r : out) delta.unfilter(r);
-    delta_ = delta;
   }
 }
 

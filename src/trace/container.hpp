@@ -218,8 +218,12 @@ class ChunkDecoder {
   /// Starts on a v1 container's single payload of `records` records.
   void open_v1(std::span<const std::uint8_t> payload, std::uint64_t records);
 
-  /// Replaces `out` with the chunk's next `n` records (n <= left()).
-  /// Decoding the last one checks that at most alignment padding follows.
+  /// Replaces `out` with the chunk's next `n` records (n <= left()), in
+  /// one loop that also inverts the v4 delta filter. A record the bytes
+  /// stop short of throws std::runtime_error "load_trace: truncated
+  /// payload at record <N> in <path>", the reserved tag 3 "decode:
+  /// reserved record format tag 3". Decoding the last record checks that
+  /// at most alignment padding follows.
   void decode(std::uint64_t n, std::vector<TraceRecord>& out);
 
   /// Records of the open chunk not yet decoded.
@@ -227,7 +231,7 @@ class ChunkDecoder {
 
  private:
   std::string path_;
-  std::string suffix_;                ///< " in <path>" for decode_records
+  std::string suffix_;                ///< " in <path>" for record errors
   std::vector<std::uint8_t> scratch_; ///< LZ output (reused)
   BitReader br_{{}};                  ///< cursor into the open chunk
   DeltaCodec delta_;                  ///< v4 state, reset at every open()
@@ -240,15 +244,6 @@ class ChunkDecoder {
   /// the record count instead of a chunk.
   static constexpr std::uint64_t kWholePayload = ~std::uint64_t{0};
 };
-
-/// Appends `count` decoded records to `out`, converting the codec's
-/// std::out_of_range (truncated bit stream) into the container level's
-/// std::runtime_error contract: "<prefix>: truncated payload at record
-/// <first_index + n><suffix>". Used by the chunk decoder and
-/// Trace::decode_payload.
-void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_index,
-                    std::vector<TraceRecord>& out, const std::string& prefix,
-                    const std::string& suffix);
 
 }  // namespace resim::trace
 

@@ -9,19 +9,7 @@ constexpr unsigned kRegBits = 6;
 constexpr std::uint64_t kRegNone = 63;  // wire encoding of kNoReg
 
 std::uint64_t reg_to_wire(Reg r) { return r == kNoReg ? kRegNone : r; }
-Reg reg_from_wire(std::uint64_t v) {
-  return v == kRegNone ? kNoReg : static_cast<Reg>(v);
-}
 }  // namespace
-
-unsigned encoded_bits(const TraceRecord& r) {
-  switch (r.fmt) {
-    case RecFormat::kOther: return kOtherBits;
-    case RecFormat::kMem: return kMemBits;
-    case RecFormat::kBranch: return kBranchBits;
-  }
-  throw std::invalid_argument("encoded_bits: bad format");
-}
 
 void encode(const TraceRecord& r, BitWriter& w) {
   w.put(static_cast<std::uint64_t>(r.fmt), 2);
@@ -54,44 +42,6 @@ void encode(const TraceRecord& r, BitWriter& w) {
       w.put(r.target, 32);
       break;
   }
-}
-
-TraceRecord decode(BitReader& br) {
-  const std::uint64_t fmt_tag = br.get(2);
-  if (fmt_tag > static_cast<std::uint64_t>(RecFormat::kBranch)) {
-    throw std::runtime_error("decode: reserved record format tag 3");
-  }
-  TraceRecord r;
-  r.fmt = static_cast<RecFormat>(fmt_tag);
-  r.wrong_path = br.get_bool();
-  switch (r.fmt) {
-    case RecFormat::kOther:
-      r.fu = static_cast<OtherFu>(br.get(2));
-      r.out = reg_from_wire(br.get(kRegBits));
-      r.in1 = reg_from_wire(br.get(kRegBits));
-      r.in2 = reg_from_wire(br.get(kRegBits));
-      break;
-    case RecFormat::kMem:
-      r.is_store = br.get_bool();
-      r.out = reg_from_wire(br.get(kRegBits));
-      r.in1 = reg_from_wire(br.get(kRegBits));
-      r.in2 = reg_from_wire(br.get(kRegBits));
-      r.addr = br.get(32);
-      break;
-    case RecFormat::kBranch:
-      r.ctrl = static_cast<isa::CtrlType>(br.get(2) + 1);
-      r.taken = br.get_bool();
-      r.in1 = reg_from_wire(br.get(kRegBits));
-      r.in2 = reg_from_wire(br.get(kRegBits));
-      r.pc = br.get(32);
-      r.target = br.get(32);
-      // A call's link destination travels implicitly.
-      r.out = r.ctrl == isa::CtrlType::kCall ? kLinkReg : kNoReg;
-      break;
-    default:
-      throw std::out_of_range("decode: bad record format");
-  }
-  return r;
 }
 
 }  // namespace resim::trace

@@ -18,21 +18,6 @@ std::vector<std::uint8_t> Trace::encode_payload() const {
   return std::move(w).take();
 }
 
-std::vector<TraceRecord> Trace::decode_payload(std::span<const std::uint8_t> payload,
-                                               std::uint64_t count) {
-  BitReader br(payload);
-  std::vector<TraceRecord> out;
-  out.reserve(count);
-  decode_records(br, count, 0, out, "decode_payload", "");
-  // Only byte-alignment padding may follow the last record; a whole
-  // spare byte means the payload length lies about the record count.
-  if (br.bits_remaining() >= 8) {
-    throw std::runtime_error("decode_payload: trailing garbage after record " +
-                             std::to_string(count));
-  }
-  return out;
-}
-
 void save_trace(const Trace& t, const std::string& path, std::uint32_t chunk_records,
                 bool compress, bool prefilter) {
   if (chunk_records == 0 || chunk_records > kMaxChunkRecords) {

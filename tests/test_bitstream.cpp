@@ -1,6 +1,8 @@
 // BitWriter/BitReader: the bit-granular codec under the trace format.
 #include "common/bitstream.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/numeric.hpp"
@@ -118,6 +120,47 @@ TEST(BitStream, TakeMovesBuffer) {
   auto bytes = std::move(w).take();
   ASSERT_EQ(bytes.size(), 1u);
   EXPECT_EQ(bytes[0], 0x42);
+}
+
+TEST(BitReader, PeekZeroFillsPastTheEnd) {
+  const std::vector<std::uint8_t> bytes = {0xFF, 0xFF, 0xFF};
+  BitReader r(bytes);
+  r.skip(3);
+  EXPECT_EQ(r.peek(), 0x1FFFFFu);  // the 21 bits left, then zeros
+  r.skip(21);
+  EXPECT_EQ(r.peek(), 0u);
+}
+
+/// get() near the end of a buffer, where the word load is built from the
+/// bytes that remain: fields of 1..64 bits starting at every bit of the
+/// last 9 bytes read what a bit-by-bit extraction reads, or throw when
+/// they run past the end and leave the cursor where it was.
+TEST(BitReader, FieldsStartingInTheLastNineBytes) {
+  Rng rng(7);
+  for (std::size_t size : {9u, 10u, 16u, 23u}) {
+    std::vector<std::uint8_t> bytes(size);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+    const auto bit_at = [&](std::uint64_t pos) -> std::uint64_t {
+      return (bytes[pos / 8] >> (pos % 8)) & 1u;
+    };
+    const std::uint64_t end = size * 8;
+    for (std::uint64_t start = (size - 9) * 8; start < end; ++start) {
+      for (unsigned bits = 1; bits <= 64; ++bits) {
+        BitReader r(bytes);
+        r.skip(static_cast<unsigned>(start));
+        if (start + bits > end) {
+          EXPECT_THROW((void)r.get(bits), std::out_of_range) << start << "+" << bits;
+          EXPECT_EQ(r.bit_pos(), start);
+          continue;
+        }
+        std::uint64_t want = 0;
+        for (unsigned i = 0; i < bits; ++i) want |= bit_at(start + i) << i;
+        ASSERT_EQ(r.get(bits), want) << "size " << size << " start " << start
+                                     << " bits " << bits;
+        EXPECT_EQ(r.bit_pos(), start + bits);
+      }
+    }
+  }
 }
 
 /// Property: random field sequences round-trip exactly.

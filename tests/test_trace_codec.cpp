@@ -1,15 +1,23 @@
 // Trace record wire format: exact sizes, round-trips, file container
 // (v1 compat, v2 chunked, v3 per-chunk compressed, v4 delta-prefiltered),
 // corruption rejection.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "trace/batch_cache.hpp"
+#include "trace/container.hpp"
 #include "trace/file_source.hpp"
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
@@ -48,6 +56,13 @@ TraceRecord random_record(Rng& rng) {
   return r;
 }
 
+/// One record through decode(), which must succeed.
+TraceRecord decode_ok(BitReader& br) {
+  TraceRecord r;
+  EXPECT_EQ(decode(br, r), DecodeStatus::kOk);
+  return r;
+}
+
 TEST(Format, ExactBitWidths) {
   // The three formats of §V.A "each with its own fields and length".
   EXPECT_EQ(kOtherBits, 23u);
@@ -72,7 +87,7 @@ TEST(Format, RoundTripOther) {
   BitWriter w;
   encode(r, w);
   BitReader br(w.bytes());
-  EXPECT_TRUE(records_equal(r, decode(br)));
+  EXPECT_TRUE(records_equal(r, decode_ok(br)));
 }
 
 TEST(Format, RoundTripMemPreservesAddress) {
@@ -81,7 +96,7 @@ TEST(Format, RoundTripMemPreservesAddress) {
   BitWriter w;
   encode(r, w);
   BitReader br(w.bytes());
-  const auto d = decode(br);
+  const auto d = decode_ok(br);
   EXPECT_TRUE(records_equal(r, d));
   EXPECT_TRUE(d.wrong_path);
 }
@@ -94,7 +109,7 @@ TEST(Format, RoundTripBranchAllCtrlTypes) {
     BitWriter w;
     encode(r, w);
     BitReader br(w.bytes());
-    EXPECT_TRUE(records_equal(r, decode(br))) << "ctrl " << int(ct);
+    EXPECT_TRUE(records_equal(r, decode_ok(br))) << "ctrl " << int(ct);
   }
 }
 
@@ -104,7 +119,7 @@ TEST(Format, CallLinkDestinationIsImplicit) {
   BitWriter w;
   encode(r, w);
   BitReader br(w.bytes());
-  EXPECT_EQ(decode(br).out, kLinkReg);  // reconstructed from ctrl type
+  EXPECT_EQ(decode_ok(br).out, kLinkReg);  // reconstructed from ctrl type
 }
 
 TEST(Format, EncodeBranchCtrlNoneThrows) {
@@ -121,16 +136,20 @@ TEST(Format, DecodeReservedFormatTagRejected) {
   w.put(3, 2);   // reserved format tag
   w.put(0, 30);  // plausible-looking bits after it
   BitReader br(w.bytes());
-  EXPECT_THROW((void)decode(br), std::runtime_error);
+  TraceRecord r;
+  EXPECT_EQ(decode(br, r), DecodeStatus::kReservedTag);
+  EXPECT_EQ(br.bit_pos(), 0u);
 }
 
-TEST(Format, TruncatedStreamThrows) {
+TEST(Format, TruncatedStreamReported) {
   BitWriter w;
   encode(TraceRecord::mem(false, 0x100, 1, 2, kNoReg), w);
   auto bytes = w.bytes();
   bytes.resize(bytes.size() - 3);
   BitReader br(bytes);
-  EXPECT_THROW((void)decode(br), std::out_of_range);
+  TraceRecord r;
+  EXPECT_EQ(decode(br, r), DecodeStatus::kTruncated);
+  EXPECT_EQ(br.bit_pos(), 0u);
 }
 
 class CodecRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
@@ -146,7 +165,7 @@ TEST_P(CodecRoundTrip, RandomStream) {
   }
   BitReader br(w.bytes());
   for (const auto& r : records) {
-    ASSERT_TRUE(records_equal(r, decode(br)));
+    ASSERT_TRUE(records_equal(r, decode_ok(br)));
   }
 }
 
@@ -159,7 +178,10 @@ TEST(Trace, TotalBitsMatchesPayload) {
   for (int i = 0; i < 100; ++i) t.records.push_back(random_record(rng));
   const auto payload = t.encode_payload();
   EXPECT_EQ(payload.size(), (t.total_bits() + 7) / 8);
-  const auto decoded = Trace::decode_payload(payload, t.records.size());
+  ChunkDecoder dec("payload");
+  dec.open_v1(payload, t.records.size());
+  std::vector<TraceRecord> decoded;
+  dec.decode(t.records.size(), decoded);
   ASSERT_EQ(decoded.size(), t.records.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
     EXPECT_TRUE(records_equal(t.records[i], decoded[i]));
@@ -702,6 +724,317 @@ TEST(TraceFileV4, TruncatedPayloadRejected) {
   std::filesystem::resize_file(path, size - 7);
   EXPECT_THROW((void)load_trace(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// ---- differential decode: word-load decoder vs a bit-by-bit reference -----
+
+namespace ref {
+
+/// Reads one bit per step, LSB-first, and throws std::out_of_range at
+/// the first bit past the end: the plainest reading of the wire format.
+class Bits {
+ public:
+  explicit Bits(std::span<const std::uint8_t> data) : data_(data) {}
+
+  std::uint64_t get(unsigned n) {
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < n; ++i, ++pos_) {
+      if (pos_ == data_.size() * 8) throw std::out_of_range("ref: past end");
+      v |= std::uint64_t{(data_[pos_ / 8] >> (pos_ % 8)) & 1u} << i;
+    }
+    return v;
+  }
+
+  [[nodiscard]] std::uint64_t left() const { return data_.size() * 8 - pos_; }
+
+ private:
+  std::span<const std::uint8_t> data_;
+  std::uint64_t pos_ = 0;
+};
+
+Reg reg(Bits& b) {
+  const std::uint64_t v = b.get(6);
+  return v == 63 ? kNoReg : static_cast<Reg>(v);
+}
+
+/// One record, field by field in the order of the layout in
+/// trace/format.hpp.
+TraceRecord decode(Bits& b) {
+  const std::uint64_t tag = b.get(2);
+  if (tag == 3) throw std::runtime_error("decode: reserved record format tag 3");
+  TraceRecord r;
+  r.fmt = static_cast<RecFormat>(tag);
+  r.wrong_path = b.get(1) != 0;
+  switch (r.fmt) {
+    case RecFormat::kOther:
+      r.fu = static_cast<OtherFu>(b.get(2));
+      r.out = reg(b);
+      r.in1 = reg(b);
+      r.in2 = reg(b);
+      break;
+    case RecFormat::kMem:
+      r.is_store = b.get(1) != 0;
+      r.out = reg(b);
+      r.in1 = reg(b);
+      r.in2 = reg(b);
+      r.addr = b.get(32);
+      break;
+    case RecFormat::kBranch:
+      r.ctrl = static_cast<isa::CtrlType>(b.get(2) + 1);
+      r.taken = b.get(1) != 0;
+      r.in1 = reg(b);
+      r.in2 = reg(b);
+      r.pc = b.get(32);
+      r.target = b.get(32);
+      r.out = r.ctrl == isa::CtrlType::kCall ? kLinkReg : kNoReg;
+      break;
+  }
+  return r;
+}
+
+/// The payload contract: `count` records, a truncated one named by its
+/// index, then at most alignment padding.
+std::vector<TraceRecord> decode_payload(std::span<const std::uint8_t> bytes,
+                                        std::uint64_t count, const std::string& prefix,
+                                        const std::string& suffix) {
+  Bits b(bytes);
+  std::vector<TraceRecord> out;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    try {
+      out.push_back(decode(b));
+    } catch (const std::out_of_range&) {
+      throw std::runtime_error(prefix + ": truncated payload at record " +
+                               std::to_string(i) + suffix);
+    }
+  }
+  if (b.left() >= 8) {
+    throw std::runtime_error(prefix + ": trailing garbage after record " +
+                             std::to_string(count) + suffix);
+  }
+  return out;
+}
+
+}  // namespace ref
+
+namespace diff {
+
+/// Every member, not only the wire-visible ones: the decoded records
+/// must be the very same values the engine reads.
+bool all_fields_equal(const TraceRecord& a, const TraceRecord& b) {
+  return a.fmt == b.fmt && a.wrong_path == b.wrong_path && a.out == b.out &&
+         a.in1 == b.in1 && a.in2 == b.in2 && a.fu == b.fu && a.is_store == b.is_store &&
+         a.addr == b.addr && a.ctrl == b.ctrl && a.taken == b.taken && a.pc == b.pc &&
+         a.target == b.target;
+}
+
+/// What a decode produced: its records, or its exception's type and text.
+struct Outcome {
+  std::vector<TraceRecord> records;
+  std::string error;  ///< "<type>: <what()>", empty on success
+};
+
+template <typename F>
+Outcome outcome_of(F&& decode) {
+  Outcome o;
+  try {
+    o.records = decode();
+  } catch (const std::out_of_range& e) {
+    o.error = std::string("out_of_range: ") + e.what();
+  } catch (const std::runtime_error& e) {
+    o.error = std::string("runtime_error: ") + e.what();
+  }
+  return o;
+}
+
+void expect_same(const Outcome& want, const Outcome& got, const std::string& what) {
+  EXPECT_EQ(got.error, want.error) << what;
+  ASSERT_EQ(got.records.size(), want.records.size()) << what;
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    ASSERT_TRUE(all_fields_equal(got.records[i], want.records[i])) << what << " record " << i;
+  }
+}
+
+/// Seeded O/M/B streams with the shape of real code: random loop bodies
+/// (random formats, registers, wrong-path bits and ctrl kinds), each
+/// repeated with striding addresses, so LZ and the delta filter engage.
+Trace random_stream(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  Trace t;
+  t.name = "diff";
+  t.start_pc = 0x400000;
+  std::vector<TraceRecord> body;
+  int reps = 0;
+  while (static_cast<int>(t.records.size()) < n) {
+    if (reps == 0) {
+      body.clear();
+      const int len = 2 + static_cast<int>(rng.below(12));
+      for (int i = 0; i < len; ++i) body.push_back(random_record(rng));
+      reps = 1 + static_cast<int>(rng.below(20));
+    }
+    for (auto& r : body) {
+      if (static_cast<int>(t.records.size()) == n) break;
+      t.records.push_back(r);
+      if (r.is_mem()) r.addr = (r.addr + 8 * (1 + rng.below(4))) & 0xFFFF'FFFF;
+    }
+    --reps;
+  }
+  return t;
+}
+
+/// Bit offset of every record in `records`' encoding, plus its end.
+std::vector<std::uint64_t> record_starts(const std::vector<TraceRecord>& records) {
+  BitWriter w;
+  std::vector<std::uint64_t> at;
+  for (const auto& r : records) {
+    at.push_back(w.bit_count());
+    encode(r, w);
+  }
+  at.push_back(w.bit_count());
+  return at;
+}
+
+/// Flags of every chunk of a v3/v4 file.
+std::vector<std::uint32_t> chunk_flags(const std::string& path, const Trace& t) {
+  std::ifstream f(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(f)), {});
+  const auto u32 = [&](std::uint64_t off) {
+    std::uint32_t v = 0;
+    for (unsigned i = 0; i < 4; ++i) {
+      v |= std::uint32_t{static_cast<std::uint8_t>(bytes[off + i])} << (8 * i);
+    }
+    return v;
+  };
+  std::vector<std::uint32_t> flags;
+  for (std::uint64_t off = v3::first_chunk_off(t); off < bytes.size();
+       off += 16 + u32(off + 12)) {
+    flags.push_back(u32(off + 4));
+  }
+  return flags;
+}
+
+/// The chunk decoder over one v1 payload of `count` records, in batches
+/// of `batch` records (so a record index may cross calls), against the
+/// reference.
+void expect_all_paths_agree(std::span<const std::uint8_t> bytes, std::uint64_t count,
+                            const std::string& what) {
+  const Outcome want = outcome_of(
+      [&] { return ref::decode_payload(bytes, count, "load_trace", " in mem.rsim"); });
+  for (std::uint64_t batch : {std::uint64_t{5}, count}) {
+    expect_same(want, outcome_of([&] {
+                  ChunkDecoder dec("mem.rsim");
+                  dec.open_v1(bytes, count);
+                  std::vector<TraceRecord> all;
+                  std::vector<TraceRecord> part;
+                  while (dec.left() != 0) {
+                    dec.decode(std::min(batch, dec.left()), part);
+                    all.insert(all.end(), part.begin(), part.end());
+                  }
+                  return all;
+                }),
+                what + " (batches of " + std::to_string(batch) + ")");
+  }
+}
+
+}  // namespace diff
+
+TEST(DecodeDifferential, RandomStreamsMatchTheReferenceOverEveryContainerVersion) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 77u}) {
+    const Trace t = diff::random_stream(seed, 5000);
+    const auto payload = t.encode_payload();
+    const std::vector<TraceRecord> want =
+        ref::decode_payload(payload, t.records.size(), "ref", "");
+    diff::expect_all_paths_agree(payload, t.records.size(), "seed " + std::to_string(seed));
+
+    const std::string dir = ::testing::TempDir() + "/diff_" + std::to_string(seed);
+    const std::vector<std::pair<std::string, std::function<void(const std::string&)>>>
+        writers = {
+            {"v1", [&](const std::string& p) { testutil::write_v1(p, t, t.records.size()); }},
+            {"v2", [&](const std::string& p) { save_trace(t, p, 512); }},
+            {"v3", [&](const std::string& p) { save_trace(t, p, 512, /*compress=*/true); }},
+            {"v4",
+             [&](const std::string& p) {
+               save_trace(t, p, 512, /*compress=*/true, /*prefilter=*/true);
+             }},
+        };
+    for (const auto& [version, write] : writers) {
+      const std::string path = dir + "_" + version + ".rsim";
+      write(path);
+      if (version == "v3" || version == "v4") {
+        // The streams must reach the LZ stage, and v4's the delta filter.
+        const std::uint32_t bit = version == "v3" ? kChunkFlagCompressed : kChunkFlagDelta;
+        const auto flags = diff::chunk_flags(path, t);
+        EXPECT_TRUE(std::any_of(flags.begin(), flags.end(),
+                                [bit](std::uint32_t f) { return (f & bit) != 0; }))
+            << version << " seed " << seed;
+      }
+      const Trace loaded = load_trace(path);
+      MmapTraceSource mapped(path);
+      ASSERT_EQ(loaded.records.size(), want.size()) << version;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(diff::all_fields_equal(loaded.records[i], want[i]))
+            << version << " seed " << seed << " record " << i;
+        ASSERT_TRUE(diff::all_fields_equal(mapped.next(), want[i]))
+            << version << " (mmap) seed " << seed << " record " << i;
+      }
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(DecodeDifferential, EveryTruncationOfTheLastTwoRecordsFailsLikeTheReference) {
+  int cut_in_tag = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<TraceRecord> records;
+    const int n = 3 + static_cast<int>(rng.below(20));
+    for (int i = 0; i < n; ++i) records.push_back(random_record(rng));
+    Trace t;
+    t.records = records;
+    const auto payload = t.encode_payload();
+    const auto at = diff::record_starts(records);
+    // The same stream with the last record's tag forged to 3: a cut
+    // after the tag is "reserved", a cut inside it "truncated".
+    auto forged = payload;
+    for (std::uint64_t b = at[records.size() - 1]; b < at[records.size() - 1] + 2; ++b) {
+      forged[b / 8] = static_cast<std::uint8_t>(forged[b / 8] | (1u << (b % 8)));
+    }
+    const std::uint64_t second_last = at[records.size() - 2];
+    for (std::size_t len = second_last / 8; len < payload.size(); ++len) {
+      const std::uint64_t bits = len * 8;
+      for (std::size_t i = records.size() - 2; i < records.size(); ++i) {
+        if (at[i] < bits && bits < at[i] + 2) ++cut_in_tag;
+      }
+      const std::string what =
+          "seed " + std::to_string(seed) + " cut to " + std::to_string(len) + " bytes";
+      diff::expect_all_paths_agree(std::span(payload.data(), len), records.size(), what);
+      diff::expect_all_paths_agree(std::span(forged.data(), len), records.size(),
+                                   what + ", last tag 3");
+    }
+  }
+  // The seeds must include streams cut inside a record's 2-bit tag,
+  // which is "truncated", never "reserved".
+  EXPECT_GT(cut_in_tag, 0);
+}
+
+TEST(DecodeDifferential, ReservedTagAtEveryRecordFailsLikeTheReference) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::vector<TraceRecord> records;
+    for (int i = 0; i < 12; ++i) records.push_back(random_record(rng));
+    Trace t;
+    t.records = records;
+    const auto payload = t.encode_payload();
+    const auto at = diff::record_starts(records);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      auto bytes = payload;
+      for (std::uint64_t b = at[i]; b < at[i] + 2; ++b) {
+        bytes[b / 8] = static_cast<std::uint8_t>(bytes[b / 8] | (1u << (b % 8)));
+      }
+      diff::expect_all_paths_agree(bytes, records.size(),
+                                   "seed " + std::to_string(seed) + " tag 3 at record " +
+                                       std::to_string(i));
+    }
+  }
 }
 
 TEST(VectorTraceSource, RewindMidStream) {
