@@ -1,5 +1,6 @@
 #include "common/lz.hpp"
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -131,7 +132,7 @@ void decompress(std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) 
     const std::size_t nlit = read_length(token >> 4);
     if (nlit > static_cast<std::size_t>(in_end - in)) corrupt("truncated literals");
     if (nlit > out_size - op) corrupt("output overrun (literals)");
-    for (std::size_t i = 0; i < nlit; ++i) out[op + i] = in[i];
+    if (nlit != 0) std::memcpy(out + op, in, nlit);
     in += nlit;
     op += nlit;
 
@@ -149,8 +150,12 @@ void decompress(std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) 
     if (offset > op) corrupt("match offset before start of output");
     const std::size_t mlen = read_length(token & 0x0F) + kMinMatch;
     if (mlen > out_size - op) corrupt("output overrun (match)");
-    // Byte-by-byte: overlapping matches (offset < mlen) replicate runs.
-    for (std::size_t i = 0; i < mlen; ++i) out[op + i] = out[op + i - offset];
+    if (offset >= mlen) {
+      std::memcpy(out + op, out + op - offset, mlen);
+    } else {
+      // Byte by byte: an overlapping match (offset < mlen) replicates a run.
+      for (std::size_t i = 0; i < mlen; ++i) out[op + i] = out[op + i - offset];
+    }
     op += mlen;
   }
   if (op != out_size) corrupt("output underrun");
