@@ -6,6 +6,7 @@
 // hostile case is the same: a NAMED error frame (or a clean connection
 // drop), never a crash, and the daemon keeps serving afterwards.
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -40,6 +41,21 @@ namespace {
 std::string temp_path(const std::string& leaf) {
   return ::testing::TempDir() + "/" + leaf;
 }
+
+/// A temp file the test writes, removed when the guard leaves scope,
+/// also when a failed assertion returns from the test early.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& leaf) : path_(temp_path(leaf)) {}
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // ---- JSON parser: hostile input -------------------------------------------
 
@@ -385,7 +401,8 @@ trace::Trace generate(const std::string& bench, std::uint64_t insts) {
 }
 
 TEST(ServeTraceCache, SecondGetIsAHit) {
-  const std::string path = temp_path("cache_hit.rsim");
+  const TempFile file("cache_hit.rsim");
+  const std::string& path = file.path();
   save_trace(generate("gzip", 2000), path, 512, /*compress=*/true,
              /*prefilter=*/false);
   SharedTraceCache cache;
@@ -492,7 +509,8 @@ TEST_F(ServeDaemonTest, PingStatusShutdown) {
 
 TEST_F(ServeDaemonTest, SimResponseIsByteIdenticalToEngineOutput) {
   start_daemon();
-  const std::string path = temp_path("served_sim.rsim");
+  const TempFile file("served_sim.rsim");
+  const std::string& path = file.path();
   save_trace(generate("gzip", 4000), path, 512, /*compress=*/true,
              /*prefilter=*/false);
 
@@ -525,7 +543,8 @@ TEST_F(ServeDaemonTest, SampledSimRunsSampledLikeTheCli) {
   // `sim --json`: a sampled run over the plan the config describes, not
   // a full run whose config block merely claims sampling.
   start_daemon();
-  const std::string path = temp_path("served_sampled.rsim");
+  const TempFile file("served_sampled.rsim");
+  const std::string& path = file.path();
   save_trace(generate("gzip", 30000), path);
   const std::vector<std::string> sets = {"sample.windows=4", "sample.window_insts=2000"};
 
@@ -656,7 +675,8 @@ TEST_F(ServeDaemonTest, TruncatedFrameThenDisconnectLeavesDaemonHealthy) {
 
 TEST_F(ServeDaemonTest, MidRequestDisconnectLosesOnlyThatRequest) {
   start_daemon();
-  const std::string path = temp_path("served_disc.rsim");
+  const TempFile file("served_disc.rsim");
+  const std::string& path = file.path();
   save_trace(generate("gzip", 4000), path, 512, /*compress=*/true,
              /*prefilter=*/false);
 
