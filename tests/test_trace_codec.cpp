@@ -915,8 +915,8 @@ std::vector<std::uint32_t> chunk_flags(const std::string& path, const Trace& t) 
 /// The chunk decoder over one v1 payload of `count` records, in batches
 /// of `batch` records (so a record index may cross calls), against the
 /// reference.
-void expect_all_paths_agree(std::span<const std::uint8_t> bytes, std::uint64_t count,
-                            const std::string& what) {
+void expect_matches_reference(std::span<const std::uint8_t> bytes, std::uint64_t count,
+                              const std::string& what) {
   const Outcome want = outcome_of(
       [&] { return ref::decode_payload(bytes, count, "load_trace", " in mem.rsim"); });
   for (std::uint64_t batch : {std::uint64_t{5}, count}) {
@@ -943,7 +943,7 @@ TEST(DecodeDifferential, RandomStreamsMatchTheReferenceOverEveryContainerVersion
     const auto payload = t.encode_payload();
     const std::vector<TraceRecord> want =
         ref::decode_payload(payload, t.records.size(), "ref", "");
-    diff::expect_all_paths_agree(payload, t.records.size(), "seed " + std::to_string(seed));
+    diff::expect_matches_reference(payload, t.records.size(), "seed " + std::to_string(seed));
 
     const std::string dir = ::testing::TempDir() + "/diff_" + std::to_string(seed);
     const std::vector<std::pair<std::string, std::function<void(const std::string&)>>>
@@ -1006,9 +1006,9 @@ TEST(DecodeDifferential, EveryTruncationOfTheLastTwoRecordsFailsLikeTheReference
       }
       const std::string what =
           "seed " + std::to_string(seed) + " cut to " + std::to_string(len) + " bytes";
-      diff::expect_all_paths_agree(std::span(payload.data(), len), records.size(), what);
-      diff::expect_all_paths_agree(std::span(forged.data(), len), records.size(),
-                                   what + ", last tag 3");
+      diff::expect_matches_reference(std::span(payload.data(), len), records.size(), what);
+      diff::expect_matches_reference(std::span(forged.data(), len), records.size(),
+                                     what + ", last tag 3");
     }
   }
   // The seeds must include streams cut inside a record's 2-bit tag,
@@ -1030,9 +1030,9 @@ TEST(DecodeDifferential, ReservedTagAtEveryRecordFailsLikeTheReference) {
       for (std::uint64_t b = at[i]; b < at[i] + 2; ++b) {
         bytes[b / 8] = static_cast<std::uint8_t>(bytes[b / 8] | (1u << (b % 8)));
       }
-      diff::expect_all_paths_agree(bytes, records.size(),
-                                   "seed " + std::to_string(seed) + " tag 3 at record " +
-                                       std::to_string(i));
+      diff::expect_matches_reference(bytes, records.size(),
+                                     "seed " + std::to_string(seed) + " tag 3 at record " +
+                                         std::to_string(i));
     }
   }
 }
